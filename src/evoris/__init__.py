@@ -21,13 +21,14 @@ from .harness import (ConfigError, ExperimentConfig, MetricRecord,
                       save_config, sweep)
 from .multiris import (AggregatorConfig, OverheadRecord, agent_act,
                        aggregate_precoder, evaluate_fitness_multi,
-                       message_accounting)
+                       message_accounting, rollout)
 from .numerics import (conv2d_same, cplx_matmul, derive_rng, derive_seed,
                        layer_norm, make_rng, relu, sign_pm1, softmax_global)
 from .policy import (ArchConfig, FFConfig, GenomeLayout, PolicyOutput,
                      attention_branch, cnn_forward, ff_forward, ff_layout,
-                     forward, genome_layout, load_genome, merge_branches,
-                     phase_head, precoder_head, save_genome)
+                     forward, forward_steps, genome_layout, load_genome,
+                     merge_branches, phase_head, precoder_head, save_genome,
+                     select_index)
 from .system import (LinkBudget, dbm_to_watt, dft_codebook, effective_channel,
                      evaluation_codebook, link_budget_from, phase_coefficients,
                      phase_to_coefficient, rate, snr, watt_to_dbm)

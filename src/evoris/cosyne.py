@@ -24,10 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ScenarioConfig, sample_channel_set, sample_episodes
+from .channel import ScenarioConfig, sample_episodes
+from .multiris import rollout_fitness
 from .numerics import derive_rng, derive_seed, make_rng
-from .policy import ArchConfig, FFConfig, forward, ff_forward, save_genome
-from .system import evaluation_codebook, link_budget_from, snr
+from .policy import save_genome
+# bench/run.py traces these two names here; fitness reaches them via the rollout
+from .policy import forward  # noqa: F401
+from .system import snr  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -76,28 +79,6 @@ def init_population(params: EvoParams, m: int, rng: np.random.Generator) -> Popu
                       generation=0)
 
 
-def policy_step(values: np.ndarray, policy_cfg, cs, rng, mode: str):
-    """One forward pass of whichever policy family the config describes.
-
-    Returns (phases, precoder_index); phases come out per-RIS-shaped for the
-    fully-connected policy when it drives several surfaces.
-    """
-    if isinstance(policy_cfg, ArchConfig):
-        if cs.ris_count != 1:
-            raise ValueError("the attention policy takes a single-RIS channel view; "
-                             "use the multi-RIS evaluator for several surfaces")
-        out = forward(values, policy_cfg, cs.h, cs.h1_list[0], cs.h2_list[0],
-                      rng=rng, mode=mode)
-        return out.phases, out.precoder_index
-    if isinstance(policy_cfg, FFConfig):
-        out = ff_forward(values, policy_cfg, cs, rng=rng, mode=mode)
-        phases = out.phases
-        if policy_cfg.ris_count > 1:
-            phases = list(phases)
-        return phases, out.precoder_index
-    raise TypeError(f"unsupported policy config {type(policy_cfg).__name__}")
-
-
 def evaluate_fitness(values: np.ndarray, policy_cfg, scenario: ScenarioConfig,
                      t: int, t_e: int, rng=None, *, policy_rng=None,
                      mode: str = "sample", trace=None) -> float:
@@ -107,34 +88,11 @@ def evaluate_fitness(values: np.ndarray, policy_cfg, scenario: ScenarioConfig,
     ``trace`` (list of episodes, each a list of ChannelSets) is supplied, in
     which case the trace defines the episode block and t/t_e are ignored.
     Precoder sampling draws from ``policy_rng`` when given, else from
-    ``rng``; argmax mode draws nothing.
+    ``rng``; argmax mode draws nothing.  A trace goes through ``rollout``
+    in batched chunks of steps.
     """
-    if trace is None and rng is None:
-        raise ValueError("need an rng when no channel trace is given")
-    sel_rng = policy_rng if policy_rng is not None else rng
-    budget = link_budget_from(scenario)
-    codebook = evaluation_codebook(scenario, policy_cfg.codebook_size)
-    states = getattr(policy_cfg, "phase_states", 2)
-    total = 0.0
-    count = 0
-    if trace is not None:
-        for episode in trace:
-            for cs in episode:
-                phases, idx = policy_step(values, policy_cfg, cs, sel_rng, mode)
-                total += snr(cs, phases, codebook[:, idx], budget, states)
-                count += 1
-    else:
-        if t < 1 or t_e < 1:
-            raise ValueError("t and t_e must be >= 1")
-        for _ in range(t_e):
-            for _ in range(t):
-                cs = sample_channel_set(scenario, rng)
-                phases, idx = policy_step(values, policy_cfg, cs, sel_rng, mode)
-                total += snr(cs, phases, codebook[:, idx], budget, states)
-                count += 1
-    if count == 0:
-        raise ValueError("the channel trace is empty")
-    return total / count
+    return rollout_fitness(values, policy_cfg, None, scenario, t, t_e, rng, policy_rng,
+                           mode, trace)
 
 
 def crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -270,7 +228,7 @@ def _genome_policy_rng(channel_seed: int, values: np.ndarray):
     function of its weights, so re-evaluating an unchanged elite reproduces
     its score exactly and the parallel map stays order-independent.
     """
-    digest = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+    digest = hashlib.sha256(np.ascontiguousarray(values)).hexdigest()
     return make_rng(derive_seed(channel_seed, "policy", digest))
 
 

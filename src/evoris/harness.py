@@ -20,8 +20,10 @@ import yaml
 from .baselines import LgaParams, exhaustive_oracle, lga_solve, random_baseline
 from .channel import (ChannelSet, ScenarioConfig, sample_episodes,
                       scenario_from_mapping, scenario_to_mapping)
-from .cosyne import EvoParams, policy_step, train
-from .multiris import AggregatorConfig, agent_act, aggregate_precoder, split_joint_genome
+from .cosyne import EvoParams, train
+from .multiris import AggregatorConfig, rollout
+# bench/run.py traces these two names here; trained kinds reach them via rollout
+from .multiris import agent_act, aggregate_precoder  # noqa: F401
 from .numerics import derive_rng, derive_seed
 from .policy import ArchConfig, FFConfig, load_genome
 from .system import evaluation_codebook, link_budget_from, snr
@@ -203,47 +205,31 @@ def trained_policy_configs(cfg: ExperimentConfig):
     raise ConfigError(f"policy: {cfg.policy!r} is not a trained kind")
 
 
-def _trained_step_gamma(genome, policy_cfg, agg_cfg, cs, codebook, budget):
-    if agg_cfg is None:
-        phases, idx = policy_step(genome, policy_cfg, cs, None, "argmax")
-        states = getattr(policy_cfg, "phase_states", 2)
-        return snr(cs, phases, codebook[:, idx], budget, states)
-    g14, g5 = split_joint_genome(genome, policy_cfg, agg_cfg)
-    phase_list, votes = [], []
-    for k in range(cs.ris_count):
-        ph, vote = agent_act(g14, policy_cfg, cs.h, cs.h1_list[k], cs.h2_list[k])
-        phase_list.append(ph)
-        votes.append(vote)
-    idx, _ = aggregate_precoder(g5, agg_cfg, votes, None, "argmax")
-    return snr(cs, phase_list, codebook[:, idx], budget, policy_cfg.phase_states)
-
-
 def evaluate_policy(cfg: ExperimentConfig, genome=None, policy_cfg=None,
                     agg_cfg=None):
     """Roll the configured policy over the evaluation episode block.
 
     Returns (per-episode gamma arrays, candidate-evaluation count).  Trained
-    kinds act deterministically (argmax); per-block searchers and the random
-    arm consume the evaluation policy stream.
+    kinds act deterministically (argmax), each episode as one batched
+    ``rollout``; per-block searchers and the random arm consume the
+    evaluation policy stream.
     """
     scenario = cfg.scenario
+    episodes = sample_episodes(scenario, cfg.eval_episodes, scenario.horizon,
+                               derive_rng(cfg.seed, "eval", "channels"))
+    if cfg.policy in TRAINED_KINDS:
+        per_episode = rollout(genome, policy_cfg, agg_cfg, scenario, episodes)
+        return per_episode, sum(len(episode) for episode in episodes)
     budget = link_budget_from(scenario)
     codebook = evaluation_codebook(scenario, cfg.arch.codebook_size)
-    chan_rng = derive_rng(cfg.seed, "eval", "channels")
     policy_rng = derive_rng(cfg.seed, "eval", "policy")
-    episodes = sample_episodes(scenario, cfg.eval_episodes, scenario.horizon,
-                               chan_rng)
     n_bits = scenario.n_ris * scenario.ris_count
     per_episode = []
     evaluations = 0
     for episode in episodes:
         gammas = np.empty(len(episode))
         for i, cs in enumerate(episode):
-            if cfg.policy in TRAINED_KINDS:
-                gammas[i] = _trained_step_gamma(genome, policy_cfg, agg_cfg, cs,
-                                                codebook, budget)
-                evaluations += 1
-            elif cfg.policy == "lga":
+            if cfg.policy == "lga":
                 res = lga_solve(cs, budget, codebook, cfg.lga, policy_rng)
                 gammas[i] = res.gamma
                 evaluations += res.evaluations

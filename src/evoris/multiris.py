@@ -6,6 +6,12 @@ phase output, and sends only its argmax precoder index as a vote.  A small
 receiver-side network turns the K votes into the final precoder.  The joint
 genome is the concatenation of the shared policy weights and the aggregator
 weights, trained as one vector.
+
+``rollout`` is the one episode-block evaluator of every trained policy:
+training fitness (single surface, bypass, or K agents plus the vote
+aggregator) and harness evaluation all go through it.  Attention policies
+run every step of an episode, and all K agents of a step, as one batched
+pass; the fully-connected benchmark keeps its per-step pass.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, ScenarioConfig, sample_channel_set
+from .channel import ScenarioConfig, sample_channel_set
 from .numerics import relu, softmax_global
-from .policy import ArchConfig, GenomeLayout, forward, genome_layout
+from .policy import (ArchConfig, FFConfig, GenomeLayout, ff_forward, forward,
+                     forward_steps, genome_layout, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
 
 
@@ -63,16 +70,20 @@ def aggregator_layout(cfg: AggregatorConfig) -> GenomeLayout:
 
 
 def encode_votes(votes, cfg: AggregatorConfig) -> np.ndarray:
-    """Vote vector to network input under the configured encoding."""
+    """Vote vector to network input under the configured encoding.
+
+    ``votes`` is (K,) for one step or (B, K) for a stack of steps.
+    """
     votes = np.asarray(votes, dtype=np.int64)
-    if votes.shape != (cfg.ris_count,):
+    if votes.shape[-1:] != (cfg.ris_count,) or votes.ndim > 2:
         raise ValueError(f"expected {cfg.ris_count} votes, got shape {votes.shape}")
     if np.any(votes < 0) or np.any(votes >= cfg.codebook_size):
         raise ValueError(f"votes must lie in [0, {cfg.codebook_size})")
     if cfg.encoding == "index":
         return votes.astype(np.float64)
-    x = np.zeros(cfg.ris_count * cfg.codebook_size)
-    x[np.arange(cfg.ris_count) * cfg.codebook_size + votes] = 1.0
+    x = np.zeros(votes.shape[:-1] + (cfg.ris_count * cfg.codebook_size,))
+    np.put_along_axis(x, np.arange(cfg.ris_count) * cfg.codebook_size + votes, 1.0,
+                      axis=-1)
     return x
 
 
@@ -89,26 +100,23 @@ def agent_act(values: np.ndarray, arch: ArchConfig, h: np.ndarray,
 
 def aggregate_precoder(values_g5: np.ndarray, cfg: AggregatorConfig, votes,
                        rng=None, mode: str = "sample"):
-    """Final precoder distribution and pick from the K votes."""
+    """Final precoder distribution and pick from the K votes.
+
+    With a (B, K) stack of votes, returns (B,) picks and (B, V) probs;
+    ``rng`` feeds ``select_index``.
+    """
     values_g5 = np.asarray(values_g5, dtype=np.float64).reshape(-1)
     layout = aggregator_layout(cfg)
     if values_g5.size != layout.size:
         raise ValueError(f"aggregator genome has {values_g5.size} values, "
                          f"needs {layout.size}")
     x = encode_votes(votes, cfg)
+    lead = x.shape[:-1]
+    x = x.reshape(lead + (1, -1))
     hid = relu(x @ layout.view(values_g5, "agg0.w") + layout.view(values_g5, "agg0.b"))
     logits = hid @ layout.view(values_g5, "agg1.w") + layout.view(values_g5, "agg1.b")
-    probs = softmax_global(logits)
-    if mode == "argmax":
-        idx = int(np.argmax(probs))
-    elif mode == "sample":
-        if rng is None:
-            raise ValueError("sampling mode needs an rng")
-        idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        idx = min(idx, probs.size - 1)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return idx, probs
+    probs = softmax_global(logits.reshape(lead + (-1,)), steps=bool(lead))
+    return select_index(probs, rng, mode), probs
 
 
 def split_joint_genome(values: np.ndarray, arch: ArchConfig,
@@ -122,6 +130,127 @@ def split_joint_genome(values: np.ndarray, arch: ArchConfig,
     if agg_cfg is None:
         return values, None
     return values[:n_policy], values[n_policy:]
+
+
+# Working-set budget of one batched policy pass in ``rollout``.  Steps go
+# through the network in chunks whose largest per-step arrays (attention
+# scores and im2col matrix) fit in it.  A desk-scale step (n_ris=16, ~94 kB)
+# runs 5 to a chunk: larger chunks measured no faster per step and raise
+# peak memory by the chunk's size.  A paper-scale step (400x400 scores,
+# 7.8 MB im2col) runs alone, where batching measured slower per step.
+STEP_CHUNK_BYTES = 512 << 10
+
+
+def _step_bytes(arch: ArchConfig) -> int:
+    """Bytes of the largest per-step arrays of a batched policy pass."""
+    return 8 * (arch.n_ris * arch.n_ris +
+                arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
+
+
+def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, steps,
+                   mode, rng):
+    """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass."""
+    if agg_cfg is None:
+        if any(cs.ris_count != 1 for cs in steps):
+            raise ValueError("the attention policy takes a single-RIS channel view; "
+                             "use an aggregator for several surfaces")
+        phases, idx, _ = forward_steps(g14, arch, np.stack([cs.h for cs in steps]),
+                                       np.stack([cs.h1_list[0] for cs in steps]),
+                                       np.stack([cs.h2_list[0] for cs in steps]),
+                                       rng, mode)
+        return phases[:, None], idx
+    # row i * K + k holds agent k of step i
+    k = agg_cfg.ris_count
+    phases, votes, _ = forward_steps(
+        g14, arch, np.repeat(np.stack([cs.h for cs in steps]), k, axis=0),
+        np.stack([h1 for cs in steps for h1 in cs.h1_list]),
+        np.stack([h2 for cs in steps for h2 in cs.h2_list]), mode="argmax")
+    idx, _ = aggregate_precoder(g5, agg_cfg, votes.reshape(-1, k), rng, mode)
+    return phases.reshape(len(steps), k, -1), idx
+
+
+def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
+            scenario: ScenarioConfig, episodes, mode: str = "argmax",
+            policy_rng=None) -> list[np.ndarray]:
+    """Per-step SNR of a trained policy over an episode block.
+
+    Returns one gamma vector per episode.  An attention policy without an
+    aggregator acts on the lone surface's channels (the single-RIS and
+    bypass case); with one, K agents vote and the aggregator picks the
+    precoder.  An episode's steps (times agents) are stacked and go through
+    ``forward_steps`` a chunk of ``STEP_CHUNK_BYTES`` at a time; phases,
+    picks and gammas are bit-identical to calling ``forward`` (or
+    ``agent_act`` plus ``aggregate_precoder``) and ``snr`` step by step.
+    Sampling draws one uniform per step from ``policy_rng`` with one call
+    per chunk, in step order, which leaves the stream where per-step draws
+    would; argmax draws nothing.  The fully-connected policy runs
+    ``ff_forward`` step by step.
+    """
+    codebook = evaluation_codebook(scenario, policy_cfg.codebook_size)
+    budget = link_budget_from(scenario)
+    episodes = [list(episode) for episode in episodes]
+    gammas = []
+    if isinstance(policy_cfg, FFConfig):
+        for episode in episodes:
+            g = np.empty(len(episode))
+            for i, cs in enumerate(episode):
+                out = ff_forward(values, policy_cfg, cs, rng=policy_rng, mode=mode)
+                g[i] = snr(cs, out.phases, codebook[:, out.precoder_index], budget)
+            gammas.append(g)
+        return gammas
+    if not isinstance(policy_cfg, ArchConfig):
+        raise TypeError(f"unsupported policy config {type(policy_cfg).__name__}")
+
+    g14, g5 = split_joint_genome(values, policy_cfg, agg_cfg)
+    if agg_cfg is not None and agg_cfg.codebook_size != policy_cfg.codebook_size:
+        raise ValueError("aggregator and policy codebook sizes must agree")
+    if agg_cfg is not None and agg_cfg.ris_count != scenario.ris_count:
+        raise ValueError("aggregator ris_count must match the scenario")
+    k = 1 if agg_cfg is None else agg_cfg.ris_count
+    chunk = max(1, STEP_CHUNK_BYTES // (k * _step_bytes(policy_cfg)))
+    for episode in episodes:
+        g = np.empty(len(episode))
+        for s in range(0, len(episode), chunk):
+            steps = episode[s:s + chunk]
+            phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode,
+                                         policy_rng)
+            for i, cs in enumerate(steps):
+                g[s + i] = snr(cs, list(phases[i]), codebook[:, idx[i]], budget,
+                               policy_cfg.phase_states)
+        gammas.append(g)
+    return gammas
+
+
+def rollout_fitness(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
+                    scenario: ScenarioConfig, t: int, t_e: int, rng, policy_rng,
+                    mode: str, trace) -> float:
+    """Mean per-step SNR over ``trace``, or over t_e * t steps drawn from ``rng``.
+
+    Picks sample from ``policy_rng`` when given, else from ``rng``.  The mean
+    sums the per-step SNRs left to right in step order.
+    """
+    if trace is None and rng is None:
+        raise ValueError("need an rng when no channel trace is given")
+    sel_rng = policy_rng if policy_rng is not None else rng
+    if trace is not None:
+        gammas = rollout(values, policy_cfg, agg_cfg, scenario, trace, mode, sel_rng)
+    else:
+        if t < 1 or t_e < 1:
+            raise ValueError("t and t_e must be >= 1")
+        # one step per rollout: a step's channel draw precedes its pick, and
+        # both may come from ``rng``
+        gammas = [rollout(values, policy_cfg, agg_cfg, scenario,
+                          [[sample_channel_set(scenario, rng)]], mode, sel_rng)[0]
+                  for _ in range(t_e * t)]
+    total = 0.0
+    count = 0
+    for episode in gammas:
+        for g in episode.tolist():
+            total += g
+            count += 1
+    if count == 0:
+        raise ValueError("the channel trace is empty")
+    return total / count
 
 
 def evaluate_fitness_multi(values: np.ndarray, arch: ArchConfig,
@@ -147,51 +276,8 @@ def evaluate_fitness_multi(values: np.ndarray, arch: ArchConfig,
             raise ValueError("bypass mode takes no aggregator config")
     elif agg_cfg is None:
         raise ValueError("network aggregation needs an AggregatorConfig")
-    if trace is None and rng is None:
-        raise ValueError("need an rng when no channel trace is given")
-    sel_rng = policy_rng if policy_rng is not None else rng
-
-    g14, g5 = split_joint_genome(values, arch, agg_cfg)
-    budget = link_budget_from(scenario)
-    codebook = evaluation_codebook(scenario, arch.codebook_size)
-    if agg_cfg is not None and agg_cfg.codebook_size != arch.codebook_size:
-        raise ValueError("aggregator and policy codebook sizes must agree")
-    if agg_cfg is not None and agg_cfg.ris_count != scenario.ris_count:
-        raise ValueError("aggregator ris_count must match the scenario")
-
-    def step(cs: ChannelSet) -> float:
-        if aggregator == "bypass":
-            out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0],
-                          rng=sel_rng, mode=mode)
-            return snr(cs, out.phases, codebook[:, out.precoder_index], budget,
-                       arch.phase_states)
-        phase_list = []
-        votes = []
-        for k in range(cs.ris_count):
-            phases_k, vote_k = agent_act(g14, arch, cs.h, cs.h1_list[k],
-                                         cs.h2_list[k])
-            phase_list.append(phases_k)
-            votes.append(vote_k)
-        idx, _ = aggregate_precoder(g5, agg_cfg, votes, sel_rng, mode)
-        return snr(cs, phase_list, codebook[:, idx], budget, arch.phase_states)
-
-    total = 0.0
-    count = 0
-    if trace is not None:
-        for episode in trace:
-            for cs in episode:
-                total += step(cs)
-                count += 1
-    else:
-        if t < 1 or t_e < 1:
-            raise ValueError("t and t_e must be >= 1")
-        for _ in range(t_e):
-            for _ in range(t):
-                total += step(sample_channel_set(scenario, rng))
-                count += 1
-    if count == 0:
-        raise ValueError("the channel trace is empty")
-    return total / count
+    return rollout_fitness(values, arch, agg_cfg, scenario, t, t_e, rng, policy_rng,
+                           mode, trace)
 
 
 @dataclass(frozen=True)

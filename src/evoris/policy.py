@@ -11,6 +11,7 @@ whole network as a single real genome.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, asdict
 from functools import lru_cache
@@ -100,13 +101,12 @@ class GenomeLayout:
         for name, shape in shapes:
             shape = tuple(int(s) for s in shape)
             self.segments[name] = (offset, shape)
-            offset += int(np.prod(shape, dtype=np.int64))
+            offset += math.prod(shape)
         self.size = offset
 
     def view(self, w: np.ndarray, name: str) -> np.ndarray:
         offset, shape = self.segments[name]
-        n = int(np.prod(shape, dtype=np.int64))
-        return w[offset:offset + n].reshape(shape)
+        return w[offset:offset + math.prod(shape)].reshape(shape)
 
 
 def _phase_out_width(arch: ArchConfig) -> int:
@@ -164,6 +164,27 @@ class PolicyOutput:
     precoder_probs: np.ndarray
 
 
+def attention_steps(tokens: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                    wv: np.ndarray, return_scores: bool = False):
+    """Global-softmax self-attention over a stack of token sets (B, n, d).
+
+    Each step is computed with the same matrix products as a single token
+    set, so every step's output equals ``attention_branch`` on it bit for bit.
+    """
+    x = np.asarray(tokens, dtype=np.float64)
+    d = x.shape[-1]
+    for w in (wq, wk, wv):
+        if w.shape != (d, d):
+            raise ValueError(f"attention weights must be ({d}, {d})")
+    q = x @ wq
+    k = x @ wk
+    scores = softmax_global(q @ np.swapaxes(k, -1, -2) / np.sqrt(d), steps=True)
+    out = scores @ (x @ wv)
+    if return_scores:
+        return out, scores
+    return out
+
+
 def attention_branch(tokens: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                      wv: np.ndarray, return_scores: bool = False):
     """Self-attention with the softmax normalized over the whole score matrix.
@@ -174,17 +195,20 @@ def attention_branch(tokens: np.ndarray, wq: np.ndarray, wk: np.ndarray,
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("tokens must be 2-D (n_tokens, d)")
-    d = x.shape[1]
-    for w in (wq, wk, wv):
-        if w.shape != (d, d):
-            raise ValueError(f"attention weights must be ({d}, {d})")
-    q = x @ wq
-    k = x @ wk
-    scores = softmax_global(q @ k.T / np.sqrt(d))
-    out = scores @ (x @ wv)
     if return_scores:
-        return out, scores
-    return out
+        out, scores = attention_steps(x[None], wq, wk, wv, return_scores=True)
+        return out[0], scores[0]
+    return attention_steps(x[None], wq, wk, wv)[0]
+
+
+def direct_features(a_direct: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndarray:
+    """Dense map of the flattened direct-branch attention output (n_tx, 2)
+    onto the (n_ris, d_cat) feature grid; a leading step axis is kept."""
+    layout = genome_layout(arch)
+    lead = a_direct.shape[:-2]
+    flat = a_direct.reshape(lead + (1, -1))
+    out = flat @ layout.view(w, "direct.w") + layout.view(w, "direct.b")
+    return out.reshape(lead + (arch.n_ris, arch.d_cat))
 
 
 def merge_branches(a_tx_ris: np.ndarray, a_ris_rx: np.ndarray,
@@ -193,10 +217,11 @@ def merge_branches(a_tx_ris: np.ndarray, a_ris_rx: np.ndarray,
 
     The two RIS-sized outputs are column-concatenated and row-normalized;
     when present, the row-normalized direct-branch map is added on top.
+    Inputs may carry a leading step axis.
     """
-    if a_tx_ris.shape[0] != a_ris_rx.shape[0]:
+    if a_tx_ris.shape[:-1] != a_ris_rx.shape[:-1]:
         raise ValueError("branch outputs must agree on the token count")
-    a_c = np.concatenate([a_tx_ris, a_ris_rx], axis=1)
+    a_c = np.concatenate([a_tx_ris, a_ris_rx], axis=-1)
     merged = layer_norm(a_c)
     if a_direct is not None:
         if a_direct.shape != a_c.shape:
@@ -206,14 +231,17 @@ def merge_branches(a_tx_ris: np.ndarray, a_ris_rx: np.ndarray,
 
 
 def cnn_forward(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndarray:
-    """Three same-padded conv layers 1 -> c1 -> c2 -> 1, activated in between."""
+    """Three same-padded conv layers 1 -> c1 -> c2 -> 1, activated in between.
+
+    ``features`` is one (n_ris, d_cat) map or a (B, n_ris, d_cat) stack.
+    """
     act = np.tanh if arch.conv_activation == "tanh" else (lambda x: x)
     layout = genome_layout(arch)
-    x = features[None, :, :]
+    x = features[..., None, :, :]
     x = act(conv2d_same(x, layout.view(w, "conv0.w"), layout.view(w, "conv0.b")))
     x = act(conv2d_same(x, layout.view(w, "conv1.w"), layout.view(w, "conv1.b")))
     x = conv2d_same(x, layout.view(w, "conv2.w"), layout.view(w, "conv2.b"))
-    return x[0]
+    return x[..., 0, :, :]
 
 
 def phase_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndarray:
@@ -221,6 +249,7 @@ def phase_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndar
 
     Binary mode thresholds a tanh scalar per row into {-1, +1} with ties
     going to +1; multi-state mode picks the argmax of per-row level scores.
+    A leading step axis on ``features`` carries through to the output.
     """
     layout = genome_layout(arch)
     n_layers = len(arch.phase_hidden) + 1
@@ -230,39 +259,59 @@ def phase_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndar
     last = n_layers - 1
     y = x @ layout.view(w, f"phase{last}.w") + layout.view(w, f"phase{last}.b")
     if arch.phase_states == 2:
-        return sign_pm1(np.tanh(y[:, 0]))
-    return np.argmax(y, axis=1)
+        return sign_pm1(np.tanh(y[..., 0]))
+    return np.argmax(y, axis=-1)
 
 
-def _select_index(probs: np.ndarray, rng, mode: str) -> int:
+def select_index(probs: np.ndarray, rng=None, mode: str = "sample"):
+    """Codebook pick from precoder probabilities: the one selection rule.
+
+    ``probs`` is one distribution (V,), giving an int, or a (B, V) stack,
+    giving a (B,) index array.  "argmax" takes the lowest maximizing index
+    and draws nothing.  "sample" inverts the cumulative distribution at one
+    uniform per distribution drawn from ``rng`` (one vector draw for a
+    stack, which advances the stream exactly like that many scalar draws).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
     if mode == "argmax":
-        return int(np.argmax(probs))
-    if mode == "sample":
+        idx = np.argmax(probs, axis=-1)
+    elif mode == "sample":
         if rng is None:
             raise ValueError("sampling mode needs an rng")
-        idx = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-        return min(idx, probs.size - 1)
-    raise ValueError(f"unknown mode {mode!r}")
+        u = rng.random() if probs.ndim == 1 else rng.random(probs.shape[0])
+        # entries of the nondecreasing CDF at or below u: searchsorted(side="right")
+        below = np.cumsum(probs, axis=-1) <= np.expand_dims(u, -1)
+        idx = np.minimum(np.count_nonzero(below, axis=-1), probs.shape[-1] - 1)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return int(idx) if probs.ndim == 1 else idx
 
 
 def precoder_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig,
                   rng=None, mode: str = "sample"):
-    """Codebook index from the flattened feature map via softmax logits."""
+    """Codebook index from the flattened feature map via softmax logits.
+
+    With a (B, n_ris, d_cat) stack, returns (B,) indices and (B, V) probs;
+    ``rng`` feeds ``select_index``.
+    """
     layout = genome_layout(arch)
-    x = features.reshape(-1)
+    lead = features.shape[:-2]
+    x = features.reshape(lead + (1, -1))
     hid = relu(x @ layout.view(w, "prec0.w") + layout.view(w, "prec0.b"))
     logits = hid @ layout.view(w, "prec1.w") + layout.view(w, "prec1.b")
-    probs = softmax_global(logits)
-    return _select_index(probs, rng, mode), probs
+    probs = softmax_global(logits.reshape(lead + (-1,)), steps=bool(lead))
+    return select_index(probs, rng, mode), probs
 
 
-def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
-            h2: np.ndarray, rng=None, mode: str = "sample") -> PolicyOutput:
-    """Full policy pass from complex channels to discrete actions.
+def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
+                  h2: np.ndarray, rng=None, mode: str = "sample"):
+    """Policy pass over B stacked steps at once.
 
-    Channels come in complex (h (n_tx,), h1 (n_tx, n_ris), h2 (n_ris,));
-    real/imag stacking happens internally.  ``mode`` controls the precoder
-    pick: "sample" draws from the softmax, "argmax" is deterministic.
+    Channels come complex with a leading step axis: h (B, n_tx), h1
+    (B, n_tx, n_ris), h2 (B, n_ris).  Returns (phases (B, n_ris), precoder
+    indices (B,), probs (B, V)); each step's result is bit-identical to
+    ``forward`` on that step alone.  Sampling draws one uniform per step
+    from ``rng``, in step order.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     layout = genome_layout(arch)
@@ -271,35 +320,48 @@ def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
     h = np.asarray(h, dtype=np.complex128)
     h1 = np.asarray(h1, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
-    if h.shape != (arch.n_tx,) or h1.shape != (arch.n_tx, arch.n_ris) or \
-            h2.shape != (arch.n_ris,):
+    b = h.shape[0] if h.ndim else 0
+    if b < 1 or h.shape != (b, arch.n_tx) or h1.shape != (b, arch.n_tx, arch.n_ris) \
+            or h2.shape != (b, arch.n_ris):
         raise ValueError("channel shapes do not match the architecture")
 
-    tokens_tx_ris = np.concatenate([h1.real, h1.imag], axis=0).T
-    tokens_ris_rx = np.column_stack([h2.real, h2.imag])
-    a1 = attention_branch(tokens_tx_ris,
-                          layout.view(w, "attn_tx_ris.wq"),
-                          layout.view(w, "attn_tx_ris.wk"),
-                          layout.view(w, "attn_tx_ris.wv"))
-    a2 = attention_branch(tokens_ris_rx,
-                          layout.view(w, "attn_ris_rx.wq"),
-                          layout.view(w, "attn_ris_rx.wk"),
-                          layout.view(w, "attn_ris_rx.wv"))
+    tokens_tx_ris = np.swapaxes(np.concatenate([h1.real, h1.imag], axis=1), -1, -2)
+    tokens_ris_rx = np.stack([h2.real, h2.imag], axis=-1)
+    a1 = attention_steps(tokens_tx_ris,
+                         layout.view(w, "attn_tx_ris.wq"),
+                         layout.view(w, "attn_tx_ris.wk"),
+                         layout.view(w, "attn_tx_ris.wv"))
+    a2 = attention_steps(tokens_ris_rx,
+                         layout.view(w, "attn_ris_rx.wq"),
+                         layout.view(w, "attn_ris_rx.wk"),
+                         layout.view(w, "attn_ris_rx.wv"))
     a0 = None
     if arch.direct_branch:
-        tokens_direct = np.column_stack([h.real, h.imag])
-        a3 = attention_branch(tokens_direct,
-                              layout.view(w, "attn_direct.wq"),
-                              layout.view(w, "attn_direct.wk"),
-                              layout.view(w, "attn_direct.wv"))
-        flat = a3.reshape(-1)
-        a0 = (flat @ layout.view(w, "direct.w") +
-              layout.view(w, "direct.b")).reshape(arch.n_ris, arch.d_cat)
-    merged = merge_branches(a1, a2, a0)
-    feat = cnn_forward(merged, w, arch)
-    phases = phase_head(feat, w, arch)
+        tokens_direct = np.stack([h.real, h.imag], axis=-1)
+        a3 = attention_steps(tokens_direct,
+                             layout.view(w, "attn_direct.wq"),
+                             layout.view(w, "attn_direct.wk"),
+                             layout.view(w, "attn_direct.wv"))
+        a0 = direct_features(a3, w, arch)
+    feat = cnn_forward(merge_branches(a1, a2, a0), w, arch)
     idx, probs = precoder_head(feat, w, arch, rng, mode)
-    return PolicyOutput(phases=phases, precoder_index=idx, precoder_probs=probs)
+    return phase_head(feat, w, arch), idx, probs
+
+
+def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
+            h2: np.ndarray, rng=None, mode: str = "sample") -> PolicyOutput:
+    """Full policy pass from complex channels to discrete actions.
+
+    Channels come in complex (h (n_tx,), h1 (n_tx, n_ris), h2 (n_ris,));
+    real/imag stacking happens internally.  ``mode`` controls the precoder
+    pick: "sample" draws from the softmax, "argmax" is deterministic.  This
+    is the one-step case of ``forward_steps``.
+    """
+    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
+                                       np.asarray(h1)[None], np.asarray(h2)[None],
+                                       rng, mode)
+    return PolicyOutput(phases=phases[0], precoder_index=int(idx[0]),
+                        precoder_probs=probs[0])
 
 
 def ff_forward(w: np.ndarray, cfg: FFConfig, cs: ChannelSet,
@@ -332,7 +394,7 @@ def ff_forward(w: np.ndarray, cfg: FFConfig, cs: ChannelSet,
         phases = phases.reshape(cfg.ris_count, cfg.n_ris)
     logits = x @ layout.view(w, "prec.w") + layout.view(w, "prec.b")
     probs = softmax_global(logits)
-    return PolicyOutput(phases=phases, precoder_index=_select_index(probs, rng, mode),
+    return PolicyOutput(phases=phases, precoder_index=select_index(probs, rng, mode),
                         precoder_probs=probs)
 
 

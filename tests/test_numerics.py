@@ -98,6 +98,13 @@ def test_softmax_global_rejects_nonfinite():
         softmax_global(np.array([np.inf, 0.0]))
 
 
+def test_softmax_global_steps_normalize_each_step_alone():
+    m = make_rng(8).standard_normal((3, 5, 5)) * 3.0
+    out = softmax_global(m, steps=True)
+    for i in range(3):
+        assert np.array_equal(out[i], softmax_global(m[i]))
+
+
 # -- layer_norm ---------------------------------------------------------------
 
 def test_layer_norm_unit_row():
@@ -173,6 +180,17 @@ def test_conv2d_same_matches_loop_oracle():
     ref = _conv2d_loops(inp, kernels, bias)
     out = conv2d_same(inp, kernels, bias)
     assert np.max(np.abs(out - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_conv2d_same_stacked_steps_equal_single_calls():
+    rng = make_rng(9)
+    inp = rng.standard_normal((4, 3, 6, 5))
+    kernels = rng.standard_normal((2, 3, 3, 3))
+    bias = rng.standard_normal(2)
+    out = conv2d_same(inp, kernels, bias)
+    assert out.shape == (4, 2, 6, 5)
+    for i in range(4):
+        assert np.array_equal(out[i], conv2d_same(inp[i], kernels, bias))
 
 
 def test_conv2d_same_rejects_even_kernel():

@@ -12,8 +12,9 @@ from evoris.channel import ChannelSet
 from evoris.numerics import make_rng
 from evoris.policy import (ArchConfig, FFConfig, PolicyOutput, attention_branch,
                            cnn_forward, config_signature, ff_forward, ff_layout,
-                           forward, genome_layout, load_genome, merge_branches,
-                           phase_head, precoder_head, save_genome)
+                           forward, forward_steps, genome_layout, load_genome,
+                           merge_branches, phase_head, precoder_head, save_genome,
+                           select_index)
 
 TOY = ArchConfig(n_tx=2, n_ris=4, codebook_size=2)
 
@@ -285,6 +286,35 @@ def test_precoder_head_sample_needs_rng():
         precoder_head(np.zeros((4, TOY.d_cat)), w, TOY, mode="sample")
 
 
+def test_select_index_stack_matches_scalar_picks():
+    probs = make_rng(30).dirichlet(np.ones(4), size=50)
+    rng, scalar = make_rng(31), make_rng(31)
+    picks = select_index(probs, rng, "sample")
+    assert picks.shape == (50,)
+    assert [select_index(p, scalar, "sample") for p in probs] == picks.tolist()
+    assert rng.bit_generator.state == scalar.bit_generator.state
+    assert np.array_equal(select_index(probs, mode="argmax"), np.argmax(probs, axis=1))
+
+
+class FixedUniform:
+    """Stand-in stream whose scalar draw is a chosen uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_select_index_inverts_the_cdf():
+    probs = np.array([0.25, 0.0, 0.5, 0.25])
+    picks = [select_index(probs, FixedUniform(u), "sample")
+             for u in (0.0, 0.2499, 0.25, 0.7499, 0.75, 0.9999)]
+    assert picks == [0, 0, 2, 2, 3, 3]
+    with pytest.raises(ValueError):
+        select_index(probs, mode="greedy")
+
+
 # -- forward ------------------------------------------------------------------
 
 def test_forward_zero_genome():
@@ -329,6 +359,22 @@ def test_forward_matches_manual_composition():
     assert np.array_equal(out.phases, ref_phases)
     assert out.precoder_index == ref_idx
     assert np.array_equal(out.precoder_probs, ref_probs)
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+def test_forward_steps_equal_per_step_forward(mode):
+    arch = ArchConfig(n_tx=2, n_ris=4, codebook_size=2, direct_branch=True)
+    w = make_rng(32).standard_normal(arch.genome_size) * 0.3
+    steps = [toy_channels(40 + i) for i in range(5)]
+    h, h1, h2 = (np.stack(c) for c in zip(*steps))
+    rng, ref_rng = make_rng(33), make_rng(33)
+    phases, idx, probs = forward_steps(w, arch, h, h1, h2, rng=rng, mode=mode)
+    for i, (hi, h1i, h2i) in enumerate(steps):
+        out = forward(w, arch, hi, h1i, h2i, rng=ref_rng, mode=mode)
+        assert np.array_equal(phases[i], out.phases)
+        assert idx[i] == out.precoder_index
+        assert np.array_equal(probs[i], out.precoder_probs)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_forward_direct_branch_uses_direct_channel():

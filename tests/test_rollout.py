@@ -1,0 +1,369 @@
+"""Tests for the batched episode rollout.
+
+Every case replays the episode block step by step through the per-block
+API (``forward``, or ``agent_act`` per surface plus ``aggregate_precoder``,
+then ``snr``) and requires bitwise equality of phases, picks, gammas and
+fitness, and that the sampling stream ends where per-step draws leave it.
+"""
+
+import numpy as np
+import pytest
+
+from evoris import multiris
+from evoris.channel import ChannelSet, ScenarioConfig
+from evoris.cosyne import evaluate_fitness
+from evoris.multiris import (AggregatorConfig, agent_act, aggregate_precoder,
+                             evaluate_fitness_multi, rollout, split_joint_genome)
+from evoris.numerics import make_rng
+from evoris.policy import ArchConfig, forward
+from evoris.system import evaluation_codebook, link_budget_from, snr
+
+ARCH = ArchConfig(n_tx=4, n_ris=8, codebook_size=4)
+ARCH_D = ArchConfig(n_tx=4, n_ris=8, codebook_size=4, direct_branch=True)
+SCN_K1 = ScenarioConfig(n_tx=4, n_ris=8, horizon=7, episodes=3)
+SCN_K2 = ScenarioConfig(n_tx=4, n_ris=8, ris_count=2,
+                        ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
+                        rx_position=(10.0, 10.0, 5.0), horizon=7, episodes=3)
+AGG_K2 = AggregatorConfig(ris_count=2, codebook_size=4)
+
+# (case, policy config, aggregator config, scenario)
+CASES = [("single", ARCH, None, SCN_K1),
+         ("multi", ARCH_D, AGG_K2, SCN_K2),
+         ("bypass", ARCH_D, None, SCN_K1)]
+
+
+def replay(values, arch, agg_cfg, scenario, trace, mode, rng):
+    """Per-block reference: (phases, pick, gamma) of every step, in order."""
+    cb = evaluation_codebook(scenario, arch.codebook_size)
+    budget = link_budget_from(scenario)
+    g14, g5 = split_joint_genome(values, arch, agg_cfg)
+    steps = []
+    for episode in trace:
+        for cs in episode:
+            if agg_cfg is None:
+                out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0],
+                              rng=rng, mode=mode)
+                phases, idx = out.phases, out.precoder_index
+            else:
+                acts = [agent_act(g14, arch, cs.h, h1, h2)
+                        for h1, h2 in zip(cs.h1_list, cs.h2_list)]
+                phases = [ph for ph, _ in acts]
+                idx, _ = aggregate_precoder(g5, agg_cfg, [v for _, v in acts], rng,
+                                            mode)
+            steps.append((phases, idx, snr(cs, phases, cb[:, idx], budget,
+                                           arch.phase_states)))
+    return steps
+
+
+def recorded_rollout(monkeypatch, *args):
+    """Run ``rollout`` and capture the (phases, precoder column, gamma) it scores."""
+    calls = []
+
+    def recording_snr(cs, phases, v, budget, states=2):
+        gamma = snr(cs, phases, v, budget, states)
+        calls.append((phases, v, gamma))
+        return gamma
+
+    with monkeypatch.context() as m:
+        m.setattr(multiris, "snr", recording_snr)
+        gammas = rollout(*args)
+    return gammas, calls
+
+
+def unit_trace(scenario, episodes, horizon, seed):
+    """CN(0, 1) channels: unit-scale inputs keep every step's decisions
+    sensitive to which channels it was given."""
+    rng = make_rng(seed)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    n_tx, n_ris, k = scenario.n_tx, scenario.n_ris, scenario.ris_count
+    return [[ChannelSet(h=cn(n_tx), h1_list=[cn(n_tx, n_ris) for _ in range(k)],
+                        h2_list=[cn(n_ris) for _ in range(k)])
+             for _ in range(horizon)] for _ in range(episodes)]
+
+
+def genome(arch, agg_cfg, seed):
+    m = arch.genome_size + (agg_cfg.genome_size if agg_cfg is not None else 0)
+    return make_rng(seed).standard_normal(m) * 0.3
+
+
+@pytest.mark.parametrize("chunk_steps", [None, 3])
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
+def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scenario,
+                                          mode, chunk_steps):
+    if chunk_steps is not None:
+        # horizon 7 spans three chunks, the last one short
+        k = 1 if agg_cfg is None else agg_cfg.ris_count
+        monkeypatch.setattr(multiris, "STEP_CHUNK_BYTES",
+                            chunk_steps * k * multiris._step_bytes(arch))
+    values = genome(arch, agg_cfg, 1)
+    trace = unit_trace(scenario, 3, 7, 2)
+    ref_rng, got_rng = make_rng(3), make_rng(3)
+    ref = replay(values, arch, agg_cfg, scenario, trace, mode, ref_rng)
+    gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
+                                     trace, mode, got_rng)
+
+    cb = evaluation_codebook(scenario, arch.codebook_size)
+    assert [g.shape for g in gammas] == [(7,)] * 3
+    assert len(calls) == len(ref) == 21
+    for (phases, v, gamma), (ref_phases, ref_idx, ref_gamma) in zip(calls, ref):
+        got = np.atleast_2d(np.asarray(phases))
+        want = np.atleast_2d(np.asarray(ref_phases))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(v, cb[:, ref_idx])
+        assert gamma == ref_gamma
+    assert np.array_equal(np.concatenate(gammas), [g for _, _, g in ref])
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    total = 0.0
+    for _, _, g in ref:
+        total += g
+    if case == "single":
+        fitness = evaluate_fitness(values, arch, scenario, 0, 0, policy_rng=make_rng(3),
+                                   mode=mode, trace=trace)
+    else:
+        fitness = evaluate_fitness_multi(
+            values, arch, agg_cfg, scenario, 0, 0, policy_rng=make_rng(3), mode=mode,
+            aggregator="network" if agg_cfg is not None else "bypass", trace=trace)
+    assert fitness == total / len(ref)
+
+
+@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
+def test_rollout_stream_state_after_sampling(case, arch, agg_cfg, scenario):
+    values = genome(arch, agg_cfg, 4)
+    trace = unit_trace(scenario, 3, 7, 5)
+    rng, scalar = make_rng(6), make_rng(6)
+    rollout(values, arch, agg_cfg, scenario, trace, "sample", rng)
+    for _ in range(3 * 7):
+        scalar.random()
+    assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def test_rollout_argmax_draws_nothing():
+    rng = make_rng(7)
+    before = rng.bit_generator.state
+    trace = unit_trace(SCN_K2, 2, 3, 8)
+    rollout(genome(ARCH_D, AGG_K2, 9), ARCH_D, AGG_K2, SCN_K2, trace, "argmax", rng)
+    assert rng.bit_generator.state == before
+
+
+def test_rollout_validation():
+    trace = unit_trace(SCN_K2, 1, 2, 10)
+    with pytest.raises(ValueError):  # several surfaces need an aggregator
+        rollout(genome(ARCH, None, 11), ARCH, None, SCN_K2, trace)
+    with pytest.raises(ValueError):  # sampling without a stream
+        rollout(genome(ARCH_D, AGG_K2, 12), ARCH_D, AGG_K2, SCN_K2, trace, "sample")
+
+
+# -- golden values ------------------------------------------------------------
+# Recorded with the step-by-step implementation that preceded the batched
+# rollout (``forward`` on one step, ``agent_act`` per surface plus
+# ``aggregate_precoder``, ``snr``, and the fitness functions' per-step
+# loops), for genome(arch, agg_cfg, 1), unit_trace(scenario, 3, 4, 2) and
+# make_rng(3) as the sampling stream.  Per case: (fitness, steps), each step
+# (phase signs of every surface, precoder pick, gamma, precoder probs); floats
+# as ``float.hex``.  Exact equality pins the arithmetic, so another NumPy or
+# BLAS build may need the values recorded again.
+GOLDEN = {
+    ('multi', 'argmax'): ('0x1.5fa14bdf9cef1p+32', [
+        ('---------++-++++', 2, '0x1.23cd0699256c9p+30',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+-+++++++++++++', 2, '0x1.8274f00df218fp+32',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('++++++++------+-', 2, '0x1.343741eb9c00ep+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-------------+++', 2, '0x1.08d94fb485fcep+31',
+         ('0x1.917365f698ba1p-3', '0x1.d054e81d7571dp-3',
+          '0x1.3c5f9efa99c23p-2', '0x1.12bc39fb5f27cp-2')),
+        ('-+++++++------++', 2, '0x1.47717536338e7p+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+-----+---++--+', 3, '0x1.f04ba9d7aee9cp+31',
+         ('0x1.878bb5254069fp-3', '0x1.3a094c646d28cp-3',
+          '0x1.1e4aa608f4083p-2', '0x1.80ead932352e9p-2')),
+        ('-+----++-+++++++', 2, '0x1.95678a046e2f9p+29',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-------+++-+++++', 2, '0x1.08a27d829f98cp+30',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-++-++++++-+--++', 2, '0x1.1833fb2fa7b76p+34',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('---+----------+-', 2, '0x1.491a01c13edbfp+31',
+         ('0x1.8b66f38324cffp-3', '0x1.8e85b9e743b7bp-3',
+          '0x1.7b868f6201a56p-2', '0x1.ef0633d1942d5p-3')),
+        ('-+-+---++--+-+++', 2, '0x1.3dbc05b5f4accp+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+----+--+-----+', 2, '0x1.1a63a04423784p+30',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+    ]),
+    ('multi', 'sample'): ('0x1.9574003a2cc6dp+32', [
+        ('---------++-++++', 0, '0x1.26eb58a5b8c2fp+32',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+-+++++++++++++', 1, '0x1.3feb6e176e71ep+32',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('++++++++------+-', 3, '0x1.0650000968a43p+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-------------+++', 2, '0x1.08d94fb485fcep+31',
+         ('0x1.917365f698ba1p-3', '0x1.d054e81d7571dp-3',
+          '0x1.3c5f9efa99c23p-2', '0x1.12bc39fb5f27cp-2')),
+        ('-+++++++------++', 0, '0x1.6f16d69ae2527p+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+-----+---++--+', 2, '0x1.04a0b49908221p+34',
+         ('0x1.878bb5254069fp-3', '0x1.3a094c646d28cp-3',
+          '0x1.1e4aa608f4083p-2', '0x1.80ead932352e9p-2')),
+        ('-+----++-+++++++', 2, '0x1.95678a046e2f9p+29',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-------+++-+++++', 0, '0x1.415129449ed22p+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-++-++++++-+--++', 3, '0x1.bc0d3b8801677p+26',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('---+----------+-', 0, '0x1.9a8ba8411b02ap+32',
+         ('0x1.8b66f38324cffp-3', '0x1.8e85b9e743b7bp-3',
+          '0x1.7b868f6201a56p-2', '0x1.ef0633d1942d5p-3')),
+        ('-+-+---++--+-+++', 2, '0x1.3dbc05b5f4accp+33',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+        ('-+----+--+-----+', 2, '0x1.1a63a04423784p+30',
+         ('0x1.8bba888d1526dp-3', '0x1.5456f3517479fp-3',
+          '0x1.55dd25c213169p-2', '0x1.3a1a1c4ea818fp-2')),
+    ]),
+    ('single', 'argmax'): ('0x1.30b4dbf1ac9acp+31', [
+        ('+++++++-', 1, '0x1.10912511ab52fp+30',
+         ('0x1.4c2cdfdf71526p-8', '0x1.cec4acfa3414dp-1',
+          '0x1.300eedf4e0341p-10', '0x1.70578e7894c32p-4')),
+        ('-+++++++', 0, '0x1.97c1929e5e8d5p+26',
+         ('0x1.f333216aeed9cp-1', '0x1.203f0100f0faap-7',
+          '0x1.078b304671015p-6', '0x1.f121db3b4b0eep-14')),
+        ('++++-+++', 1, '0x1.5f1b8a85181aap+31',
+         ('0x1.651139a401c1fp-5', '0x1.adb999d87d746p-1',
+          '0x1.119e6235e8eedp-5', '0x1.56db634f1f045p-4')),
+        ('------++', 1, '0x1.12bc138467f19p+31',
+         ('0x1.5782d5f49aedep-5', '0x1.ea85d233af28cp-1',
+          '0x1.5dfbfe40a200dp-17', '0x1.44e211cfd1b46p-18')),
+        ('++++-++-', 1, '0x1.87b53da51949fp+31',
+         ('0x1.2c2ee7eaf47b1p-6', '0x1.f69e607651b6cp-1',
+          '0x1.0f4b7a719ef8ep-24', '0x1.315dfd83a4153p-20')),
+        ('-------+', 1, '0x1.ca27bb8927bc2p+30',
+         ('0x1.06be4cbe2a7a1p-3', '0x1.be243562aeec2p-1',
+          '0x1.a9dbb2dda593ep-20', '0x1.60119280cd232p-12')),
+        ('-+----++', 1, '0x1.9fe3586c0c82bp+30',
+         ('0x1.366456f577c68p-6', '0x1.f63b2f4f0aa66p-1',
+          '0x1.3ead1639981dbp-14', '0x1.ee2425f3b2eb7p-15')),
+        ('+--++++-', 1, '0x1.28266fb6bf677p+30',
+         ('0x1.9644c7692229ap-16', '0x1.fff647e3fcc95p-1',
+          '0x1.aec2abd851883p-25', '0x1.a278ec6e2219ap-15')),
+        ('+-+++---', 0, '0x1.b2f347ecda36ap+32',
+         ('0x1.b253c06da1d08p-2', '0x1.b882e9e7e82f1p-3',
+          '0x1.6efcd2d23b095p-5', '0x1.438b304422b6dp-2')),
+        ('--++++++', 0, '0x1.02f650179f663p+29',
+         ('0x1.de4f6ef6a4760p-1', '0x1.0cd43aabca6dap-4',
+          '0x1.5f0b710da8a33p-13', '0x1.8fcd161bf9218p-21')),
+        ('++---++-', 1, '0x1.6c9b534564618p+32',
+         ('0x1.172b6d3d481cap-9', '0x1.fede9bfb89aa4p-1',
+          '0x1.061e619a58ea2p-14', '0x1.03d2161d65546p-16')),
+        ('+------+', 1, '0x1.e1e6908eace0ep+30',
+         ('0x1.629aca14ede13p-19', '0x1.ffff9d831fd3bp-1',
+          '0x1.0e40751fe0e84p-23', '0x1.674af49fdb5cep-23')),
+    ]),
+    ('single', 'sample'): ('0x1.ec0d61d6cc938p+30', [
+        ('+++++++-', 1, '0x1.10912511ab52fp+30',
+         ('0x1.4c2cdfdf71526p-8', '0x1.cec4acfa3414dp-1',
+          '0x1.300eedf4e0341p-10', '0x1.70578e7894c32p-4')),
+        ('-+++++++', 0, '0x1.97c1929e5e8d5p+26',
+         ('0x1.f333216aeed9cp-1', '0x1.203f0100f0faap-7',
+          '0x1.078b304671015p-6', '0x1.f121db3b4b0eep-14')),
+        ('++++-+++', 1, '0x1.5f1b8a85181aap+31',
+         ('0x1.651139a401c1fp-5', '0x1.adb999d87d746p-1',
+          '0x1.119e6235e8eedp-5', '0x1.56db634f1f045p-4')),
+        ('------++', 1, '0x1.12bc138467f19p+31',
+         ('0x1.5782d5f49aedep-5', '0x1.ea85d233af28cp-1',
+          '0x1.5dfbfe40a200dp-17', '0x1.44e211cfd1b46p-18')),
+        ('++++-++-', 1, '0x1.87b53da51949fp+31',
+         ('0x1.2c2ee7eaf47b1p-6', '0x1.f69e607651b6cp-1',
+          '0x1.0f4b7a719ef8ep-24', '0x1.315dfd83a4153p-20')),
+        ('-------+', 1, '0x1.ca27bb8927bc2p+30',
+         ('0x1.06be4cbe2a7a1p-3', '0x1.be243562aeec2p-1',
+          '0x1.a9dbb2dda593ep-20', '0x1.60119280cd232p-12')),
+        ('-+----++', 1, '0x1.9fe3586c0c82bp+30',
+         ('0x1.366456f577c68p-6', '0x1.f63b2f4f0aa66p-1',
+          '0x1.3ead1639981dbp-14', '0x1.ee2425f3b2eb7p-15')),
+        ('+--++++-', 1, '0x1.28266fb6bf677p+30',
+         ('0x1.9644c7692229ap-16', '0x1.fff647e3fcc95p-1',
+          '0x1.aec2abd851883p-25', '0x1.a278ec6e2219ap-15')),
+        ('+-+++---', 3, '0x1.4b79171cd141cp+30',
+         ('0x1.b253c06da1d08p-2', '0x1.b882e9e7e82f1p-3',
+          '0x1.6efcd2d23b095p-5', '0x1.438b304422b6dp-2')),
+        ('--++++++', 0, '0x1.02f650179f663p+29',
+         ('0x1.de4f6ef6a4760p-1', '0x1.0cd43aabca6dap-4',
+          '0x1.5f0b710da8a33p-13', '0x1.8fcd161bf9218p-21')),
+        ('++---++-', 1, '0x1.6c9b534564618p+32',
+         ('0x1.172b6d3d481cap-9', '0x1.fede9bfb89aa4p-1',
+          '0x1.061e619a58ea2p-14', '0x1.03d2161d65546p-16')),
+        ('+------+', 1, '0x1.e1e6908eace0ep+30',
+         ('0x1.629aca14ede13p-19', '0x1.ffff9d831fd3bp-1',
+          '0x1.0e40751fe0e84p-23', '0x1.674af49fdb5cep-23')),
+    ]),
+}
+
+
+def signs(phases):
+    return "".join("+" if p > 0 else "-" for p in np.asarray(phases).ravel())
+
+
+@pytest.mark.parametrize("case,mode", list(GOLDEN), ids=[f"{c}-{m}" for c, m in GOLDEN])
+def test_rollout_and_forward_match_recorded_values(monkeypatch, case, mode):
+    arch, agg_cfg, scenario = {"single": (ARCH, None, SCN_K1),
+                               "multi": (ARCH_D, AGG_K2, SCN_K2)}[case]
+    want_fitness, want = GOLDEN[(case, mode)]
+    values = genome(arch, agg_cfg, 1)
+    trace = unit_trace(scenario, 3, 4, 2)
+    g14, g5 = split_joint_genome(values, arch, agg_cfg)
+
+    rng = make_rng(3)
+    for cs, (want_signs, want_idx, _, want_probs) in zip(
+            [cs for episode in trace for cs in episode], want):
+        if agg_cfg is None:
+            out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=rng,
+                          mode=mode)
+            phases, idx, probs = out.phases, out.precoder_index, out.precoder_probs
+        else:
+            acts = [agent_act(g14, arch, cs.h, h1, h2)
+                    for h1, h2 in zip(cs.h1_list, cs.h2_list)]
+            phases = [ph for ph, _ in acts]
+            idx, probs = aggregate_precoder(g5, agg_cfg, [v for _, v in acts], rng, mode)
+        assert (signs(phases), idx) == (want_signs, want_idx)
+        assert [float(p).hex() for p in probs] == list(want_probs)
+
+    cb = evaluation_codebook(scenario, arch.codebook_size)
+    gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
+                                     trace, mode, make_rng(3))
+    assert [(signs(phases), float(gamma).hex()) for phases, _, gamma in calls] == \
+        [(s, g) for s, _, g, _ in want]
+    assert [np.flatnonzero((cb == v[:, None]).all(axis=0))[0] for _, v, _ in calls] == \
+        [idx for _, idx, _, _ in want]
+    assert [g.hex() for g in np.concatenate(gammas).tolist()] == [g for _, _, g, _ in want]
+
+    if agg_cfg is None:
+        fitness = evaluate_fitness(values, arch, scenario, 0, 0, policy_rng=make_rng(3),
+                                   mode=mode, trace=trace)
+    else:
+        fitness = evaluate_fitness_multi(values, arch, agg_cfg, scenario, 0, 0,
+                                         policy_rng=make_rng(3), mode=mode, trace=trace)
+    assert fitness.hex() == want_fitness
