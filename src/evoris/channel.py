@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import yaml
 
 Vec3 = tuple[float, float, float]
 
@@ -237,26 +236,7 @@ def stack_real_imag(cs: ChannelSet):
     return h_t, h1_t, h2_t
 
 
-def perturb_h2(h2: np.ndarray, epsilon: float, alpha: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Add scaled complex Gaussian noise to a RIS-RX vector.
-
-    Returns h2 + eps^2 * g with g ~ CN(0, sigma_n^2 I) and
-    sigma_n^2 = alpha * ||h2|| (Euclidean norm).  eps == 0 returns an exact
-    copy and consumes no randomness.
-    """
-    h2 = np.asarray(h2, dtype=np.complex128)
-    if epsilon < 0 or alpha < 0:
-        raise ValueError("epsilon and alpha must be nonnegative")
-    if epsilon == 0.0:
-        return h2.copy()
-    sigma2 = alpha * float(np.linalg.norm(h2))
-    g = (rng.standard_normal(h2.shape) + 1j * rng.standard_normal(h2.shape))
-    g *= math.sqrt(sigma2 / 2.0)
-    return h2 + epsilon ** 2 * g
-
-
-# -- scenario (de)serialization: key/value text with nested sections --------
+# -- scenario (de)serialization: plain mappings for the config files ---------
 
 def scenario_to_mapping(cfg: ScenarioConfig) -> dict:
     d = asdict(cfg)
@@ -280,15 +260,3 @@ def scenario_from_mapping(d: dict) -> ScenarioConfig:
                                     for p in kw["ris_positions"])
     return ScenarioConfig(**kw)
 
-
-def save_scenario(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_mapping(cfg), fh, sort_keys=True)
-
-
-def load_scenario(path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a mapping at top level")
-    return scenario_from_mapping(data)

@@ -84,12 +84,10 @@ def evaluate_fitness(values: np.ndarray, policy_cfg, scenario: ScenarioConfig,
                      mode: str = "sample", trace=None) -> float:
     """Mean per-step SNR of one genome over t_e episodes of t steps each.
 
-    Channels are drawn fresh per step from ``rng`` unless a pre-sampled
-    ``trace`` (list of episodes, each a list of ChannelSets) is supplied, in
-    which case the trace defines the episode block and t/t_e are ignored.
-    Precoder sampling draws from ``policy_rng`` when given, else from
-    ``rng``; argmax mode draws nothing.  A trace goes through ``rollout``
-    in batched chunks of steps.
+    A pre-sampled ``trace`` (list of episodes, each a list of ChannelSets)
+    defines the episode block, and t/t_e are ignored; without one the block
+    is drawn from ``rng`` with ``sample_episodes``.  Precoder sampling draws
+    from ``policy_rng``; argmax mode draws nothing.
     """
     return rollout_fitness(values, policy_cfg, None, scenario, t, t_e, rng, policy_rng,
                            mode, trace)
@@ -167,7 +165,7 @@ def evaluate_population(pop: Population, fitness_fn, map_fn=None) -> None:
     else:
         results = list(map_fn(fitness_fn, pop))
     pop.fitness = np.asarray(results, dtype=np.float64)
-    if pop.fitness.shape != (l,) or np.any(np.isnan(pop.fitness)):
+    if pop.fitness.shape != (l,) or not np.all(np.isfinite(pop.fitness)):
         raise ValueError("fitness evaluation must return one finite value per row")
     order = np.argsort(-pop.fitness, kind="stable")
     pop.weights = pop.weights[order]
@@ -243,14 +241,12 @@ def _worker_eval(args):
     index, values = args
     c = _WORKER_CTX
     policy_rng = _genome_policy_rng(c["channel_seed"], values)
-    if c["agg_cfg"] is None and c["aggregator"] != "bypass":
+    if c["agg_cfg"] is None:
         return evaluate_fitness(values, c["policy_cfg"], c["scenario"], 0, 0,
-                                policy_rng=policy_rng, mode=c["mode"],
-                                trace=c["trace"])
+                                policy_rng=policy_rng, trace=c["trace"])
     from .multiris import evaluate_fitness_multi
     return evaluate_fitness_multi(values, c["policy_cfg"], c["agg_cfg"],
                                   c["scenario"], 0, 0, policy_rng=policy_rng,
-                                  mode=c["mode"], aggregator=c["aggregator"],
                                   trace=c["trace"])
 
 
@@ -262,8 +258,7 @@ def resolve_workers(workers=None) -> int:
 
 
 def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
-          agg_cfg=None, aggregator: str = "network", mode: str = "sample",
-          out_dir=None, workers=None) -> TrainResult:
+          agg_cfg=None, out_dir=None, workers=None) -> TrainResult:
     """Run the generation loop and return the best genome ever evaluated.
 
     Each generation draws a fresh episode block (frozen_episodes pins it to
@@ -295,8 +290,7 @@ def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
         trace = sample_episodes(scenario, params.t_e_train, scenario.horizon,
                                 make_rng(channel_seed))
         ctx = {"policy_cfg": policy_cfg, "agg_cfg": agg_cfg, "scenario": scenario,
-               "mode": mode, "aggregator": aggregator, "channel_seed": channel_seed,
-               "trace": trace}
+               "channel_seed": channel_seed, "trace": trace}
 
         if workers > 1:
             def map_fn(_fn, p):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -410,15 +409,23 @@ def export_results(records, out_dir, format: str = "csv"):
 # -- channel trace files ------------------------------------------------------
 
 _TRACE_MAGIC = b"CHTRACE1"
+_TRACE_HEADER = len(_TRACE_MAGIC) + 5 * 4
+
+
+def _trace_record(n_tx: int, n_ris: int, k: int) -> np.dtype:
+    """One step of a trace file: episode and step index, then the channels."""
+    return np.dtype([("e", "<u4"), ("t", "<u4"), ("h", "<c16", (n_tx,)),
+                     ("ris", [("h1", "<c16", (n_tx, n_ris)), ("h2", "<c16", (n_ris,))],
+                      (k,))])
 
 
 def export_channel_trace(path, trace) -> None:
-    """Write episodes of ChannelSets as little-endian interleaved complex64-bit.
+    """Write episodes of ChannelSets as little-endian binary records.
 
     Layout: magic, (n_tx, n_ris, k, n_episodes, horizon) as u32, then one
-    record per step: episode u32, step u32, h, then per RIS its TX-RIS
-    matrix (row-major) and RIS-RX vector, every complex value as re/im
-    float64.
+    ``_trace_record`` per step: episode u32, step u32, h, then per RIS its
+    TX-RIS matrix (row-major) and RIS-RX vector, every complex value as
+    re/im float64.
     """
     if not trace or not trace[0]:
         raise ValueError("trace must hold at least one episode with one step")
@@ -427,33 +434,35 @@ def export_channel_trace(path, trace) -> None:
     n_ris = first.h2_list[0].shape[0]
     k = first.ris_count
     horizon = len(trace[0])
+    for e, episode in enumerate(trace):
+        if len(episode) != horizon:
+            raise ValueError(f"episode {e}: expected {horizon} steps, "
+                             f"got {len(episode)}")
+    steps = [cs for episode in trace for cs in episode]
+    records = np.empty(len(steps), dtype=_trace_record(n_tx, n_ris, k))
+    records["e"], records["t"] = np.divmod(np.arange(len(steps)), horizon)
+    records["h"] = [cs.h for cs in steps]
+    records["ris"]["h1"] = [cs.h1_list for cs in steps]
+    records["ris"]["h2"] = [cs.h2_list for cs in steps]
     with open(path, "wb") as fh:
         fh.write(_TRACE_MAGIC)
-        fh.write(struct.pack("<IIIII", n_tx, n_ris, k, len(trace), horizon))
-        for e, episode in enumerate(trace):
-            if len(episode) != horizon:
-                raise ValueError(f"episode {e}: expected {horizon} steps, "
-                                 f"got {len(episode)}")
-            for t, cs in enumerate(episode):
-                fh.write(struct.pack("<II", e, t))
-                fh.write(np.ascontiguousarray(cs.h, dtype="<c16").tobytes())
-                for h1, h2 in zip(cs.h1_list, cs.h2_list):
-                    fh.write(np.ascontiguousarray(h1, dtype="<c16").tobytes())
-                    fh.write(np.ascontiguousarray(h2, dtype="<c16").tobytes())
+        fh.write(np.array([n_tx, n_ris, k, len(trace), horizon], dtype="<u4").tobytes())
+        fh.write(records.tobytes())
 
 
 def import_channel_trace(path, scenario: ScenarioConfig | None = None):
     """Read a trace written by export_channel_trace; optionally check dims.
 
     Returns a list of episodes, each a list of ChannelSets, usable wherever
-    freshly sampled channels are.  Malformed input raises ValueError naming
-    the failing record.
+    freshly sampled channels are.  Malformed input (a wrong size, misplaced
+    record indices, a non-finite channel value) raises ValueError naming the
+    first failing record.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 28 or blob[:8] != _TRACE_MAGIC:
+    if len(blob) < _TRACE_HEADER or blob[:8] != _TRACE_MAGIC:
         raise ValueError(f"{path}: not a channel trace file")
-    n_tx, n_ris, k, n_episodes, horizon = struct.unpack_from("<IIIII", blob, 8)
+    n_tx, n_ris, k, n_episodes, horizon = np.frombuffer(blob, "<u4", 5, 8).tolist()
     if min(n_tx, n_ris, k, n_episodes, horizon) < 1:
         raise ValueError(f"{path}: degenerate header dimensions")
     if scenario is not None:
@@ -462,38 +471,31 @@ def import_channel_trace(path, scenario: ScenarioConfig | None = None):
                 f"{path}: trace dims (n_tx={n_tx}, n_ris={n_ris}, k={k}) do not "
                 f"match scenario (n_tx={scenario.n_tx}, n_ris={scenario.n_ris}, "
                 f"k={scenario.ris_count})")
-    rec_vals = n_tx + k * (n_tx * n_ris + n_ris)
-    rec_size = 8 + 16 * rec_vals
-    expected = 28 + n_episodes * horizon * rec_size
+    record = _trace_record(n_tx, n_ris, k)
+    expected = _TRACE_HEADER + n_episodes * horizon * record.itemsize
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for "
                          f"{n_episodes}x{horizon} records, got {len(blob)}")
-    trace = []
-    offset = 28
-    for e in range(n_episodes):
-        episode = []
-        for t in range(horizon):
-            idx = e * horizon + t
-            re, rt = struct.unpack_from("<II", blob, offset)
-            if (re, rt) != (e, t):
-                raise ValueError(f"{path}: record {idx}: expected indices "
-                                 f"({e}, {t}), found ({re}, {rt})")
-            offset += 8
-            vals = np.frombuffer(blob, dtype="<c16", count=rec_vals, offset=offset)
-            offset += 16 * rec_vals
-            pos = n_tx
-            h = vals[:pos].astype(np.complex128)
-            h1_list, h2_list = [], []
-            for _ in range(k):
-                h1 = vals[pos:pos + n_tx * n_ris].reshape(n_tx, n_ris).astype(
-                    np.complex128)
-                pos += n_tx * n_ris
-                h2_list.append(vals[pos:pos + n_ris].astype(np.complex128))
-                pos += n_ris
-                h1_list.append(h1)
-            episode.append(ChannelSet(h=h, h1_list=h1_list, h2_list=h2_list))
-        trace.append(episode)
-    return trace
+    records = np.frombuffer(blob, record, offset=_TRACE_HEADER)
+    e, t = np.divmod(np.arange(records.size), horizon)
+    bad = np.flatnonzero((records["e"] != e) | (records["t"] != t))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: record {i}: expected indices ({e[i]}, {t[i]}), "
+                         f"found ({records['e'][i]}, {records['t'][i]})")
+    h = records["h"].astype(np.complex128)
+    h1 = records["ris"]["h1"].astype(np.complex128)
+    h2 = records["ris"]["h2"].astype(np.complex128)
+    finite = (np.isfinite(h).all(axis=1) & np.isfinite(h1).all(axis=(1, 2, 3))
+              & np.isfinite(h2).all(axis=(1, 2)))
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{path}: record {i} (episode {e[i]}, step {t[i]}): "
+                         "non-finite channel value")
+    return [[ChannelSet(h=h[i], h1_list=list(h1[i]), h2_list=list(h2[i]))
+             for i in range(ep * horizon, (ep + 1) * horizon)]
+            for ep in range(n_episodes)]
 
 
 def evaluate_genome(cfg: ExperimentConfig, genome_path) -> list[MetricRecord]:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ScenarioConfig, sample_channel_set
+from .channel import ScenarioConfig, sample_episodes
 from .numerics import relu, softmax_global
 from .policy import (ArchConfig, FFConfig, GenomeLayout, ff_forward, forward,
                      forward_steps, genome_layout, select_index)
@@ -224,27 +224,20 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
 def rollout_fitness(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
                     scenario: ScenarioConfig, t: int, t_e: int, rng, policy_rng,
                     mode: str, trace) -> float:
-    """Mean per-step SNR over ``trace``, or over t_e * t steps drawn from ``rng``.
+    """Mean per-step SNR over ``trace``, else over t_e x t steps drawn from ``rng``.
 
-    Picks sample from ``policy_rng`` when given, else from ``rng``.  The mean
-    sums the per-step SNRs left to right in step order.
+    Without a trace the block is ``sample_episodes(scenario, t_e, t, rng)``,
+    rolled out exactly like a trace.  Picks sample from ``policy_rng``.  The
+    mean sums the per-step SNRs left to right in step order.
     """
-    if trace is None and rng is None:
-        raise ValueError("need an rng when no channel trace is given")
-    sel_rng = policy_rng if policy_rng is not None else rng
-    if trace is not None:
-        gammas = rollout(values, policy_cfg, agg_cfg, scenario, trace, mode, sel_rng)
-    else:
-        if t < 1 or t_e < 1:
-            raise ValueError("t and t_e must be >= 1")
-        # one step per rollout: a step's channel draw precedes its pick, and
-        # both may come from ``rng``
-        gammas = [rollout(values, policy_cfg, agg_cfg, scenario,
-                          [[sample_channel_set(scenario, rng)]], mode, sel_rng)[0]
-                  for _ in range(t_e * t)]
+    if trace is None:
+        if rng is None:
+            raise ValueError("need an rng when no channel trace is given")
+        trace = sample_episodes(scenario, t_e, t, rng)
     total = 0.0
     count = 0
-    for episode in gammas:
+    for episode in rollout(values, policy_cfg, agg_cfg, scenario, trace, mode,
+                           policy_rng):
         for g in episode.tolist():
             total += g
             count += 1

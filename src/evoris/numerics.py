@@ -41,18 +41,6 @@ def derive_rng(master: int, *path) -> np.random.Generator:
     return make_rng(derive_seed(master, *path))
 
 
-def cplx_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with explicit conformability checking."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("cplx_matmul expects 2-D operands, got "
-                         f"{a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def softmax_global(m: np.ndarray, steps: bool = False) -> np.ndarray:
     """Softmax normalized over *all* entries of the array.
 

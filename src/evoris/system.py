@@ -31,12 +31,6 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(watt: float) -> float:
-    if watt <= 0:
-        raise ValueError("power must be positive")
-    return 10.0 * math.log10(watt) + 30.0
-
-
 def link_budget_from(cfg: ScenarioConfig) -> LinkBudget:
     return LinkBudget(tx_power_w=dbm_to_watt(cfg.tx_power_dbm),
                       noise_power_w=dbm_to_watt(cfg.noise_dbm))
@@ -84,14 +78,6 @@ def phase_to_coefficient(phase, states: int = 2) -> np.ndarray:
     return np.exp(2j * np.pi * levels / states)
 
 
-def phase_coefficients(phases: np.ndarray, states: int = 2) -> np.ndarray:
-    """Vector version of phase_to_coefficient with a shape check."""
-    arr = np.asarray(phases)
-    if arr.ndim != 1:
-        raise ValueError("phases must be a 1-D vector")
-    return phase_to_coefficient(arr, states)
-
-
 def effective_channel(cs: ChannelSet, phases, states: int = 2) -> np.ndarray:
     """Combined direct-plus-reflected channel seen at the receiver.
 
@@ -109,8 +95,9 @@ def effective_channel(cs: ChannelSet, phases, states: int = 2) -> np.ndarray:
     for h1, h2, ph in zip(cs.h1_list, cs.h2_list, phases):
         ph = np.asarray(ph)
         if ph.shape != h2.shape:
-            raise ValueError("phase vector length must match the RIS element count")
-        coef = phase_coefficients(ph, states)
+            raise ValueError("each phase vector must be 1-D with one entry per "
+                             "RIS element")
+        coef = phase_to_coefficient(ph, states)
         m = m + np.conj(h1) @ (np.conj(h2) * coef)
     return m
 

@@ -9,9 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from evoris.channel import (ScenarioConfig, load_scenario, perturb_h2,
-                            sample_channel_set, sample_episodes, sample_ricean,
-                            save_scenario, scenario_from_mapping,
+from evoris.channel import (ScenarioConfig, sample_channel_set, sample_episodes,
+                            sample_ricean, scenario_from_mapping,
                             scenario_to_mapping, steering_vector,
                             stack_real_imag)
 from evoris.numerics import make_rng
@@ -195,36 +194,13 @@ def test_stack_real_imag_round_trip():
     assert np.array_equal(rebuilt, cs.h1_list[0])
 
 
-# -- perturb_h2 ---------------------------------------------------------------
-
-def test_perturb_h2_zero_epsilon_is_copy():
-    h2 = make_rng(16).standard_normal(4) + 1j * make_rng(17).standard_normal(4)
-    out = perturb_h2(h2, 0.0, 1.0 / 3.0, make_rng(18))
-    assert np.array_equal(out, h2)
-    assert out is not h2
-
-
-def test_perturb_h2_variance():
-    rng = make_rng(19)
-    h2 = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    eps, alpha = 0.1, 1.0 / 3.0
-    deltas = np.stack([perturb_h2(h2, eps, alpha, rng) - h2
-                       for _ in range(100_000)])
-    # per-element variance of the additive term: eps^4 * alpha * ||h2||
-    target = eps ** 4 * alpha * np.linalg.norm(h2)
-    var = np.mean(np.abs(deltas) ** 2, axis=0)
-    assert np.all(np.abs(var - target) < 0.03 * target)
-
-
 # -- scenario (de)serialization -----------------------------------------------
 
-def test_scenario_round_trip(tmp_path):
+def test_scenario_round_trip():
     cfg = small_scenario(ris_count=2,
                          ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
                          direct_blocked=False, direct_attenuation_db=10.0)
-    path = tmp_path / "scenario.yaml"
-    save_scenario(cfg, path)
-    assert load_scenario(path) == cfg
+    assert scenario_from_mapping(scenario_to_mapping(cfg)) == cfg
 
 
 def test_scenario_mapping_rejects_unknown_field():

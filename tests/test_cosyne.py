@@ -5,6 +5,7 @@ inline; fitness accumulation is replayed step by step with the link-level
 evaluator; the permutation probability is checked against its closed form.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from evoris.cosyne import (EvoParams, Population, column_shuffle, crossover,
                            evaluate_fitness, evaluate_population,
                            evolve_generation, init_population, mutate,
                            permutation_probabilities, resolve_workers, train)
+from evoris.multiris import AggregatorConfig, evaluate_fitness_multi
 from evoris.numerics import make_rng
 from evoris.policy import ArchConfig, forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
@@ -22,6 +24,12 @@ from evoris.system import evaluation_codebook, link_budget_from, snr
 SCN = ScenarioConfig(n_tx=2, n_ris=4, kappa_h2_db=10.0, kappa_h_db=10.0,
                      horizon=3, episodes=2)
 ARCH = ArchConfig(n_tx=2, n_ris=4, codebook_size=2)
+SCN_K2 = ScenarioConfig(n_tx=2, n_ris=4, ris_count=2,
+                        ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
+                        rx_position=(10.0, 10.0, 5.0), direct_blocked=False,
+                        direct_attenuation_db=10.0, horizon=3, episodes=2)
+ARCH_D = ArchConfig(n_tx=2, n_ris=4, codebook_size=2, direct_branch=True)
+AGG_K2 = AggregatorConfig(ris_count=2, codebook_size=2)
 
 
 # -- init_population ----------------------------------------------------------
@@ -91,12 +99,22 @@ def test_fitness_matches_per_step_accumulation():
 
 
 def test_fitness_sampling_path_equals_pregenerated_trace():
-    rng = make_rng(9)
-    w = rng.standard_normal(ARCH.genome_size) * 0.3
-    live = evaluate_fitness(w, ARCH, SCN, 3, 2, rng=make_rng(10), mode="argmax")
-    trace = sample_episodes(SCN, 2, 3, make_rng(10))
-    frozen = evaluate_fitness(w, ARCH, SCN, 0, 0, mode="argmax", trace=trace)
-    assert live == frozen
+    # cases: (surfaces, mode); two surfaces go through the direct branch
+    # and the vote aggregator
+    for surfaces, mode in ((1, "argmax"), (1, "sample"), (2, "argmax"), (2, "sample")):
+        rng = make_rng(9)
+        if surfaces == 1:
+            scn = SCN
+            w = rng.standard_normal(ARCH.genome_size) * 0.3
+            fitness = functools.partial(evaluate_fitness, w, ARCH, scn)
+        else:
+            scn = SCN_K2
+            w = rng.standard_normal(ARCH_D.genome_size + AGG_K2.genome_size) * 0.3
+            fitness = functools.partial(evaluate_fitness_multi, w, ARCH_D, AGG_K2, scn)
+        live = fitness(3, 2, rng=make_rng(10), policy_rng=make_rng(11), mode=mode)
+        trace = sample_episodes(scn, 2, 3, make_rng(10))
+        frozen = fitness(0, 0, policy_rng=make_rng(11), mode=mode, trace=trace)
+        assert live == frozen, (surfaces, mode)
 
 
 def test_fitness_sample_mode_deterministic_given_rng():
@@ -244,9 +262,10 @@ def test_evaluate_population_sorts_descending():
 
 
 def test_evaluate_population_rejects_nan():
-    pop = Population(weights=np.zeros((3, 1)), fitness=np.full(3, np.nan))
-    with pytest.raises(ValueError):
-        evaluate_population(pop, lambda values, index: float("nan"))
+    for bad in ("nan", "inf", "-inf"):
+        pop = Population(weights=np.zeros((3, 1)), fitness=np.full(3, np.nan))
+        with pytest.raises(ValueError):
+            evaluate_population(pop, lambda values, index: float(bad))
 
 
 def test_evolve_generation_single_parent_fallback():

@@ -293,6 +293,31 @@ def test_trace_bad_magic_rejected(tmp_path):
         import_channel_trace(path)
 
 
+def test_trace_misplaced_record_rejected(tmp_path):
+    cfg = tiny_config()
+    trace = sample_episodes(cfg.scenario, 1, 3, make_rng(2))
+    path = tmp_path / "eps.trace"
+    export_channel_trace(path, trace)
+    blob = bytearray(path.read_bytes())
+    record = (len(blob) - 28) // 3
+    blob[28 + record + 4:28 + record + 8] = (2).to_bytes(4, "little")  # step of record 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"record 1: expected indices \(0, 1\), "
+                                         r"found \(0, 2\)"):
+        import_channel_trace(path)
+
+
+def test_trace_non_finite_channel_rejected(tmp_path):
+    cfg = tiny_config()
+    path = tmp_path / "eps.trace"
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        trace = sample_episodes(cfg.scenario, 2, 2, make_rng(2))
+        trace[1][0].h2_list[0][1] = bad
+        export_channel_trace(path, trace)
+        with pytest.raises(ValueError, match=r"record 2 \(episode 1, step 0\)"):
+            import_channel_trace(path)
+
+
 def test_single_record_trace_drives_frozen_evaluation(tmp_path):
     cfg = tiny_config()
     trace = sample_episodes(cfg.scenario, 1, 1, make_rng(3))

@@ -7,9 +7,8 @@ reference implementations written inline, never against the kernel itself.
 import numpy as np
 import pytest
 
-from evoris.numerics import (conv2d_same, cplx_matmul, derive_rng, derive_seed,
-                             layer_norm, make_rng, relu, sign_pm1,
-                             softmax_global)
+from evoris.numerics import (conv2d_same, derive_rng, derive_seed, layer_norm,
+                             make_rng, relu, sign_pm1, softmax_global)
 
 
 # -- rng plumbing -------------------------------------------------------------
@@ -31,41 +30,6 @@ def test_derive_rng_matches_derive_seed():
     a = derive_rng(3, "x").standard_normal(4)
     b = make_rng(derive_seed(3, "x")).standard_normal(4)
     assert np.array_equal(a, b)
-
-
-# -- cplx_matmul --------------------------------------------------------------
-
-def test_cplx_matmul_identity():
-    x = np.array([[1 + 2j, 3 - 1j], [0 + 0j, 2 + 2j]])
-    out = cplx_matmul(np.eye(2), x)
-    assert np.array_equal(out, x)
-
-
-def test_cplx_matmul_j_squared():
-    out = cplx_matmul(np.array([[1j]]), np.array([[1j]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == -1 + 0j
-
-
-def test_cplx_matmul_matches_triple_loop():
-    rng = make_rng(0)
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    # independent element-by-element reference
-    ref = np.zeros((3, 2), dtype=np.complex128)
-    for i in range(3):
-        for j in range(2):
-            acc = 0.0 + 0.0j
-            for k in range(4):
-                acc += a[i, k] * b[k, j]
-            ref[i, j] = acc
-    out = cplx_matmul(a, b)
-    assert np.max(np.abs(out - ref)) / np.max(np.abs(ref)) < 1e-12
-
-
-def test_cplx_matmul_rejects_mismatch():
-    with pytest.raises(ValueError):
-        cplx_matmul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 # -- softmax_global -----------------------------------------------------------
