@@ -93,27 +93,47 @@ def evaluate_fitness(values: np.ndarray, policy_cfg, scenario: ScenarioConfig,
                            mode, trace)
 
 
-def crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform crossover: each gene comes from either parent with prob 0.5."""
+def crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform crossover: each gene comes from either parent with prob 0.5.
+
+    The child is written into ``out`` (which must not overlap ``p1``) when
+    given, else into a new array; either way it is returned.
+    """
     p1 = np.asarray(p1, dtype=np.float64)
     p2 = np.asarray(p2, dtype=np.float64)
-    if p1.shape != p2.shape:
-        raise ValueError("parents must have equal length")
-    take_first = rng.random(p1.shape) < 0.5
-    return np.where(take_first, p1, p2)
+    if p1.shape != p2.shape or p1.ndim != 1:
+        raise ValueError("parents must be genomes of equal length")
+    take_first = np.flatnonzero(rng.random(p1.shape) < 0.5)
+    if out is None:
+        out = p2.copy()
+    else:
+        np.copyto(out, p2)
+    out[take_first] = p1[take_first]
+    return out
 
 
 def mutate(g: np.ndarray, p_mut: float, sigma_mut: float,
-           rng: np.random.Generator) -> np.ndarray:
+           rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Perturb each gene by N(0, sigma_mut^2) noise with probability p_mut.
 
-    The noise vector is drawn in full regardless of the hit mask so the rng
-    stream advances identically for any p_mut.
+    ``rng`` gives one uniform per gene for the hit mask and one 64-bit seed
+    for a PCG64 that draws a normal for each hit only, so ``rng`` advances
+    identically for any p_mut.  The result goes into ``out`` when given
+    (it may be ``g`` itself), else into a new array; either way it is
+    returned.
     """
     g = np.asarray(g, dtype=np.float64)
-    hit = rng.random(g.shape) < p_mut
-    noise = rng.standard_normal(g.shape) * sigma_mut
-    return g + np.where(hit, noise, 0.0)
+    if g.ndim != 1:
+        raise ValueError("a genome must be one-dimensional")
+    hits = np.flatnonzero(rng.random(g.shape) < p_mut)
+    noise_rng = np.random.Generator(np.random.PCG64(rng.integers(2**64, dtype=np.uint64)))
+    if out is None:
+        out = g.copy()
+    elif out is not g:
+        np.copyto(out, g)
+    out[hits] += noise_rng.standard_normal(hits.size) * sigma_mut
+    return out
 
 
 def permutation_probabilities(fitness: np.ndarray, f_max: float, m: int) -> np.ndarray:
@@ -136,29 +156,53 @@ def permutation_probabilities(fitness: np.ndarray, f_max: float, m: int) -> np.n
 
 
 def column_shuffle(weights: np.ndarray, row_probs: np.ndarray,
-                   rng: np.random.Generator, chunk: int = 65536) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Mark entries with their row's probability, then permute marked entries
-    within each column.  Preserves every column's value multiset exactly.
+    within each column; returns a new array and leaves ``weights`` as it is.
+
+    Row r draws k_r ~ Binomial(m, p_r), then k_r distinct columns: the same
+    law as marking each entry independently with probability p_r, at a cost
+    in the number of marks rather than in l*m.  A row with p_r = 0 is never
+    touched.  Preserves every column's value multiset exactly.
     """
-    weights = np.array(weights, dtype=np.float64)
-    l, m = weights.shape
-    row_probs = np.asarray(row_probs, dtype=np.float64).reshape(l, 1)
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        mask = rng.random((l, stop - start)) < row_probs
-        hit_cols = np.nonzero(mask.any(axis=0))[0]
-        block = weights[:, start:stop]
-        for j in hit_cols:
-            rows = np.nonzero(mask[:, j])[0]
-            if rows.size > 1:
-                perm = rng.permutation(rows.size)
-                block[rows, j] = block[rows[perm], j]
-        weights[:, start:stop] = block
-    return weights
+    out = np.array(weights, dtype=np.float64)
+    l, m = out.shape
+    counts = rng.binomial(m, np.asarray(row_probs, dtype=np.float64).reshape(l))
+    rows = np.repeat(np.arange(l), counts)
+    cols = np.concatenate([rng.choice(m, k, replace=False, shuffle=False)
+                           for k in counts])
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    sizes = np.diff(starts, append=cols.size)
+    for start, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        marked = rows[start:start + size]
+        col = cols[start]
+        out[marked, col] = out[marked[rng.permutation(size)], col]
+    return out
+
+
+def _permute_rows(weights: np.ndarray, order: np.ndarray) -> None:
+    """weights[:] = weights[order], one permutation cycle at a time through a
+    single row buffer."""
+    buf = np.empty_like(weights[0])
+    done = order == np.arange(order.size)
+    for start in range(order.size):
+        if done[start]:
+            continue
+        buf[:] = weights[start]
+        i = start
+        while order[i] != start:
+            weights[i] = weights[order[i]]
+            done[i] = True
+            i = order[i]
+        weights[i] = buf
+        done[i] = True
 
 
 def evaluate_population(pop: Population, fitness_fn, map_fn=None) -> None:
-    """Fill fitness for every row, then sort rows best-first (stable)."""
+    """Fill fitness for every row, then sort rows best-first (stable), in
+    place."""
     l = pop.weights.shape[0]
     if map_fn is None:
         results = [fitness_fn(pop.weights[i], i) for i in range(l)]
@@ -168,7 +212,7 @@ def evaluate_population(pop: Population, fitness_fn, map_fn=None) -> None:
     if pop.fitness.shape != (l,) or not np.all(np.isfinite(pop.fitness)):
         raise ValueError("fitness evaluation must return one finite value per row")
     order = np.argsort(-pop.fitness, kind="stable")
-    pop.weights = pop.weights[order]
+    _permute_rows(pop.weights, order)
     pop.fitness = pop.fitness[order]
 
 
@@ -177,12 +221,13 @@ def evolve_generation(pop: Population, fitness_fn, params: EvoParams,
     """One full generation cycle; returns the (unevaluated) next population.
 
     The input population is evaluated and sorted in place, so its fitness
-    vector afterwards holds this generation's ranking.  The returned
-    population keeps the top floor(l/4) rows as-is and fills the rest with
-    mutated crossover offspring of randomly paired top-quartile parents;
-    entry permutation (when enabled) then swaps marked coordinates within
-    columns, with offspring rows inheriting the marking probability of the
-    rank position they replaced.
+    vector afterwards holds this generation's ranking and its top floor(l/4)
+    rows the parents.  The rest of its rows are then overwritten with
+    mutated crossover offspring of randomly paired parents.  Entry
+    permutation (when enabled) swaps marked coordinates within columns of
+    a copy, with offspring rows inheriting the marking probability of the
+    rank position they replaced; without it the returned population shares
+    the input's weight matrix.
     """
     l, m = pop.weights.shape
     if l < 4:
@@ -190,23 +235,24 @@ def evolve_generation(pop: Population, fitness_fn, params: EvoParams,
     evaluate_population(pop, fitness_fn, map_fn)
 
     n_parents = l // 4
-    next_w = pop.weights.copy()
+    w = pop.weights
     for j in range(n_parents, l):
+        child = w[j]
         if n_parents == 1:
-            child = pop.weights[0]
+            parent = w[0]
         else:
             i1 = int(rng.integers(n_parents))
             i2 = int(rng.integers(n_parents - 1))
             if i2 >= i1:
                 i2 += 1
-            child = crossover(pop.weights[i1], pop.weights[i2], rng)
-        next_w[j] = mutate(child, params.p_mut, params.sigma_mut, rng)
+            parent = child = crossover(w[i1], w[i2], rng, out=child)
+        mutate(parent, params.p_mut, params.sigma_mut, rng, out=child)
 
     if params.permutation_enabled:
         probs = permutation_probabilities(pop.fitness, float(pop.fitness[0]), m)
-        next_w = column_shuffle(next_w, probs, rng)
+        w = column_shuffle(w, probs, rng)
 
-    return Population(weights=next_w, fitness=np.full(l, np.nan),
+    return Population(weights=w, fitness=np.full(l, np.nan),
                       generation=pop.generation + 1)
 
 

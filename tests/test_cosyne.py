@@ -7,17 +7,19 @@ evaluator; the permutation probability is checked against its closed form.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evoris.channel import ScenarioConfig, sample_episodes
-from evoris.cosyne import (EvoParams, Population, column_shuffle, crossover,
-                           evaluate_fitness, evaluate_population,
-                           evolve_generation, init_population, mutate,
+from evoris.cosyne import (EvoParams, Population, _genome_policy_rng,
+                           column_shuffle, crossover, evaluate_fitness,
+                           evaluate_population, evolve_generation,
+                           init_population, mutate,
                            permutation_probabilities, resolve_workers, train)
 from evoris.multiris import AggregatorConfig, evaluate_fitness_multi
-from evoris.numerics import make_rng
+from evoris.numerics import derive_seed, make_rng
 from evoris.policy import ArchConfig, forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
 
@@ -237,14 +239,58 @@ def test_column_shuffle_zero_probability_is_identity():
     assert np.array_equal(out, w)
 
 
-def test_column_shuffle_chunked_matches_unchunked():
+def test_column_shuffle_deterministic_given_seed():
     rng = make_rng(28)
     w = rng.standard_normal((8, 100))
     probs = rng.uniform(0.0, 0.8, 8)
-    a = column_shuffle(w, probs, make_rng(29), chunk=7)
-    b = column_shuffle(w, probs, make_rng(29), chunk=7)
+    a = column_shuffle(w, probs, make_rng(29))
+    b = column_shuffle(w, probs, make_rng(29))
     assert np.array_equal(a, b)
     assert np.array_equal(np.sort(a, axis=0), np.sort(w, axis=0))
+
+
+def _moved_per_column_law(probs):
+    """Mean and variance of the entries one column loses to the shuffle.
+
+    n marked entries (a sum of independent Bernoulli(p_r)) are permuted
+    uniformly; an entry moves unless it is a fixed point, and a uniform
+    permutation of n >= 1 has one fixed point on average with variance 1
+    for n >= 2 (n = 1 always fixes its entry).  So E[moved | n] = max(n-1, 0)
+    and Var[moved | n] = [n >= 2].
+    """
+    dist = np.array([1.0])  # P(n marked)
+    for p in probs:
+        dist = np.convolve(dist, [1.0 - p, p])
+    n = np.arange(dist.size)
+    given = np.maximum(n - 1, 0)
+    mean = float(dist @ given)
+    var = float(dist[2:].sum() + dist @ given ** 2 - mean ** 2)
+    return mean, var
+
+
+def test_column_shuffle_marking_law():
+    # every entry is marked independently with its row's probability, so the
+    # moved-entry count per column follows the closed form above
+    m = 20_000
+    cases = ([0.0, 1.0, 1.0, 1.0],
+             [0.0, 0.05, 0.3, 0.7, 1.0, 0.5],
+             [0.0, 0.001, 0.01, 0.02])
+    for seed, probs in enumerate(cases):
+        w = make_rng(200 + seed).standard_normal((len(probs), m))
+        before = w.copy()
+        out = column_shuffle(w, np.array(probs), make_rng(300 + seed))
+        assert np.array_equal(w, before)  # the input is left as it was
+        moved = np.count_nonzero(out != w)
+        mean, var = _moved_per_column_law(probs)
+        assert abs(moved - m * mean) <= 3.0 * math.sqrt(m * var), (probs, moved)
+        # a row with p = 0 (the elite) is never touched, bit for bit
+        assert out[0].tobytes() == w[0].tobytes()
+        assert np.array_equal(np.sort(out, axis=0), np.sort(w, axis=0))
+    # three fully marked rows: a column stays fixed with probability 1/3! = 1/6
+    w = make_rng(210).standard_normal((3, m))
+    out = column_shuffle(w, np.ones(3), make_rng(211))
+    fixed = np.count_nonzero(np.all(out == w, axis=0))
+    assert abs(fixed - m / 6) <= 3.0 * math.sqrt(m * (1 / 6) * (5 / 6))
 
 
 # -- evaluate_population / evolve_generation -----------------------------------
@@ -259,6 +305,18 @@ def test_evaluate_population_sorts_descending():
     evaluate_population(pop, fitness_by_first_gene)
     assert np.array_equal(pop.fitness, [3.0, 2.0, 1.0])
     assert np.array_equal(pop.weights.ravel(), [3.0, 2.0, 1.0])
+
+
+def test_evaluate_population_sorts_rows_in_place():
+    # several permutation cycles and ties; fancy indexing is the reference
+    w = make_rng(39).standard_normal((12, 5))
+    w[[3, 7], 0] = w[5, 0]
+    order = np.argsort(-np.abs(w[:, 0]), kind="stable")
+    pop = Population(weights=w.copy(), fitness=np.full(12, np.nan))
+    matrix = pop.weights
+    evaluate_population(pop, fitness_by_first_gene)
+    assert pop.weights is matrix
+    assert np.array_equal(pop.weights, w[order])
 
 
 def test_evaluate_population_rejects_nan():
@@ -312,6 +370,38 @@ def test_evolve_generation_offspring_counts():
     assert np.all(np.isnan(nxt.fitness))
 
 
+def test_evolve_generation_breeds_in_place_keeping_parents():
+    params = EvoParams(l_pop=8, p_mut=0.5, sigma_mut=0.5)
+    w = make_rng(35).standard_normal((8, 40))
+    fitness = np.array([fitness_by_first_gene(row, i) for i, row in enumerate(w)])
+    order = np.argsort(-fitness, kind="stable")
+    pop = Population(weights=w.copy(), fitness=np.full(8, np.nan))
+    nxt = evolve_generation(pop, fitness_by_first_gene, params, make_rng(36))
+    # the input's top quartile and its sorted fitness survive the breeding
+    # that overwrote its other rows
+    assert np.array_equal(pop.weights[:2], w[order[:2]])
+    assert np.array_equal(pop.fitness, fitness[order])
+    assert not np.array_equal(pop.weights[2:], w[order[2:]])
+    assert nxt.weights is not pop.weights
+    assert np.array_equal(nxt.weights[0], pop.weights[0])  # elite p = 0
+
+
+def test_evolve_generation_peak_memory():
+    params = EvoParams(l_pop=8)
+    pop = Population(weights=make_rng(37).standard_normal((8, 200_000)),
+                     fitness=np.full(8, np.nan))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nxt = evolve_generation(pop, fitness_by_first_gene, params, make_rng(38))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the shuffled copy is the one population-sized allocation
+    assert nxt.weights.shape == pop.weights.shape
+    assert peak - base <= 1.1 * pop.weights.nbytes, (peak - base) / pop.weights.nbytes
+
+
 # -- train --------------------------------------------------------------------
 
 def tiny_params(**overrides):
@@ -344,6 +434,22 @@ def test_train_monotone_best_with_frozen_episodes():
     best = [r["best_fitness"] for r in result.history]
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
     assert result.best_fitness == best[-1]
+
+
+def test_train_best_genome_rescores_to_best_fitness():
+    # the best genome is read from the bred population after breeding
+    # overwrote its lower rows; re-scored on its generation's block it must
+    # reproduce its recorded fitness exactly
+    seed, params = 106, tiny_params(generations=4)
+    result = train(SCN, ARCH, params, seed=seed)
+    gen = next(r["generation"] for r in result.history
+               if r["best_fitness"] == result.best_fitness)
+    channel_seed = derive_seed(seed, "episodes", gen)
+    trace = sample_episodes(SCN, params.t_e_train, SCN.horizon, make_rng(channel_seed))
+    again = evaluate_fitness(result.best_genome, ARCH, SCN, 0, 0, trace=trace,
+                             policy_rng=_genome_policy_rng(channel_seed,
+                                                           result.best_genome))
+    assert again == result.best_fitness
 
 
 def test_train_writes_artifacts(tmp_path):
