@@ -156,16 +156,26 @@ def permutation_probabilities(fitness: np.ndarray, f_max: float, m: int) -> np.n
 
 
 def column_shuffle(weights: np.ndarray, row_probs: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
+                   rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """Mark entries with their row's probability, then permute marked entries
-    within each column; returns a new array and leaves ``weights`` as it is.
+    within each column.
 
     Row r draws k_r ~ Binomial(m, p_r), then k_r distinct columns: the same
     law as marking each entry independently with probability p_r, at a cost
     in the number of marks rather than in l*m.  A row with p_r = 0 is never
     touched.  Preserves every column's value multiset exactly.
+
+    The result goes into ``out`` when given, else into a new array that
+    leaves ``weights`` as it is; either way it is returned.  ``out=weights``
+    permutes in place, and a distinct ``out`` first receives a copy of
+    ``weights``.  Each column's marked entries are gathered before they are
+    scattered, so every choice of ``out`` gives the same bytes and draws the
+    same numbers from ``rng``.
     """
-    out = np.array(weights, dtype=np.float64)
+    if out is None:
+        out = np.array(weights, dtype=np.float64)
+    elif out is not weights:
+        np.copyto(out, weights)
     l, m = out.shape
     counts = rng.binomial(m, np.asarray(row_probs, dtype=np.float64).reshape(l))
     rows = np.repeat(np.arange(l), counts)
@@ -224,10 +234,10 @@ def evolve_generation(pop: Population, fitness_fn, params: EvoParams,
     vector afterwards holds this generation's ranking and its top floor(l/4)
     rows the parents.  The rest of its rows are then overwritten with
     mutated crossover offspring of randomly paired parents.  Entry
-    permutation (when enabled) swaps marked coordinates within columns of
-    a copy, with offspring rows inheriting the marking probability of the
-    rank position they replaced; without it the returned population shares
-    the input's weight matrix.
+    permutation (when enabled) then swaps marked coordinates within columns,
+    in place, with offspring rows inheriting the marking probability of the
+    rank position they replaced.  The returned population always shares the
+    input's weight matrix, so a run holds one population matrix throughout.
     """
     l, m = pop.weights.shape
     if l < 4:
@@ -250,7 +260,7 @@ def evolve_generation(pop: Population, fitness_fn, params: EvoParams,
 
     if params.permutation_enabled:
         probs = permutation_probabilities(pop.fitness, float(pop.fitness[0]), m)
-        w = column_shuffle(w, probs, rng)
+        column_shuffle(w, probs, rng, out=w)
 
     return Population(weights=w, fitness=np.full(l, np.nan),
                       generation=pop.generation + 1)

@@ -260,6 +260,35 @@ def _summarize(run_id, policy, per_episode, evaluations, wall_time,
                         wall_time=wall_time, evaluations=int(evaluations))
 
 
+def _mem_available_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo in bytes, or None where unreadable."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        return None
+    return None
+
+
+def _check_population_fits(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError when the training population exceeds free memory.
+
+    Training holds one l_pop x genome float64 matrix for the whole run, and
+    it dwarfs everything else at scale.  Skipped where the free memory
+    cannot be read.
+    """
+    policy_cfg, agg_cfg = trained_policy_configs(cfg)
+    genome = policy_cfg.genome_size + (agg_cfg.genome_size if agg_cfg else 0)
+    need = cfg.evo.l_pop * genome * 8
+    available = _mem_available_bytes()
+    if available is not None and need > available:
+        raise ConfigError(f"evo.l_pop: a population of {cfg.evo.l_pop} x {genome} "
+                          f"weights needs {need / 1e9:.2f} GB of memory, but only "
+                          f"{available / 1e9:.2f} GB is available")
+
+
 def run_experiment(cfg: ExperimentConfig, *, param_name=None, param_value=None,
                    export_format: str = "csv", workers=None) -> list[MetricRecord]:
     """Train (when the policy is evolved) and evaluate; emit artifacts.
@@ -267,8 +296,12 @@ def run_experiment(cfg: ExperimentConfig, *, param_name=None, param_value=None,
     One MetricRecord per independent run.  Artifacts under out_dir: the
     resolved config, per-run training history and best genome, metrics.csv
     (or .json) and a run.json sidecar carrying the wall-clock data that is
-    deliberately kept out of the metric files.
+    deliberately kept out of the metric files.  A trained kind whose
+    population cannot fit in the available memory raises ConfigError before
+    anything is written.
     """
+    if cfg.policy in TRAINED_KINDS:
+        _check_population_fits(cfg)
     out_path = None
     if cfg.out_dir is not None:
         out_path = Path(cfg.out_dir)

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from evoris import harness
 from evoris.channel import sample_episodes
 from evoris.cosyne import evaluate_fitness
 from evoris.harness import (ConfigError, ExperimentConfig, MetricRecord,
@@ -163,6 +164,25 @@ def test_trained_run_writes_training_artifacts(tmp_path):
     assert len(records) == 1
     assert (tmp_path / "t" / "train" / "best.genome").exists()
     assert (tmp_path / "t" / "train" / "history.csv").exists()
+
+
+def test_trained_run_fails_fast_when_population_cannot_fit(tmp_path, monkeypatch):
+    available = harness._mem_available_bytes()
+    assert available is None or available > 0
+    cfg = tiny_config(policy="attention", out_dir=str(tmp_path / "t"))
+    policy_cfg, _ = trained_policy_configs(cfg)
+    need = cfg.evo.l_pop * policy_cfg.genome_size * 8
+    monkeypatch.setattr(harness, "_mem_available_bytes", lambda: need - 1)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert "GB" in str(err.value) and "evo.l_pop" in str(err.value)
+    assert not (tmp_path / "t").exists()  # nothing written
+    # untrained kinds hold no population and are not checked
+    run_experiment(tiny_config(policy="random"))
+    # an exact fit, or an unreadable free-memory figure, lets training run
+    for figure in (need, None):
+        monkeypatch.setattr(harness, "_mem_available_bytes", lambda: figure)
+        assert len(run_experiment(tiny_config(policy="attention"))) == 1
 
 
 # -- evaluate_genome -----------------------------------------------------------
