@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,14 +140,31 @@ def steering_vector(geometry: str, n_elements: int, direction: np.ndarray,
     return np.exp(1j * phase)
 
 
-def sample_ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
-                  avg_power: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Ricean-faded matrix around a unit-modulus-normalized LOS term.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Output is sqrt(avg_power) * (sqrt(k/(k+1)) * los_hat + sqrt(1/(k+1)) * G)
-    with G i.i.d. standard complex Gaussian and k the linear Ricean factor,
-    so E[|entry|^2] == avg_power for every k.
+
+@dataclass(frozen=True)
+class _Ricean:
+    """A Ricean-faded matrix law with its deterministic part precomputed.
+
+    ``los`` is sqrt(k/(k+1)) * los_hat (read-only), ``nlos`` is
+    sqrt(1/(k+1)) and ``amp`` is sqrt(avg_power).
     """
+
+    los: np.ndarray
+    nlos: float
+    amp: float
+
+    def draw(self, rng: np.random.Generator) -> np.ndarray:
+        shape = self.los.shape
+        g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+        return self.amp * (self.los + self.nlos * g)
+
+
+def _ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
+            avg_power: float) -> _Ricean:
     los = np.asarray(los, dtype=np.complex128).reshape(rows, cols)
     if avg_power <= 0:
         raise ValueError("avg_power must be positive")
@@ -155,10 +173,19 @@ def sample_ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
         raise ValueError("LOS entries must be nonzero for unit-modulus normalization")
     los_hat = los / mags
     kappa = db_to_linear(kappa_db)
-    g = (rng.standard_normal((rows, cols)) +
-         1j * rng.standard_normal((rows, cols))) / math.sqrt(2.0)
-    mix = math.sqrt(kappa / (kappa + 1.0)) * los_hat + math.sqrt(1.0 / (kappa + 1.0)) * g
-    return math.sqrt(avg_power) * mix
+    return _Ricean(los=_read_only(math.sqrt(kappa / (kappa + 1.0)) * los_hat),
+                   nlos=math.sqrt(1.0 / (kappa + 1.0)), amp=math.sqrt(avg_power))
+
+
+def sample_ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
+                  avg_power: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw a Ricean-faded matrix around a unit-modulus-normalized LOS term.
+
+    Output is sqrt(avg_power) * (sqrt(k/(k+1)) * los_hat + sqrt(1/(k+1)) * G)
+    with G i.i.d. standard complex Gaussian and k the linear Ricean factor,
+    so E[|entry|^2] == avg_power for every k.
+    """
+    return _ricean(rows, cols, kappa_db, los, avg_power).draw(rng)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -168,12 +195,29 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / n
 
 
-def sample_channel_set(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
-    """Draw one i.i.d. coherence-block realization for the configured scenario.
+@dataclass(frozen=True)
+class _RisLink:
+    """One surface's links: ``h1`` is the shared read-only TX-RIS matrix of a
+    line-of-sight link (``kappa_h1_db is None``), else None and ``h1_law``
+    draws it; ``h2_law`` draws the RIS-RX vector as an (n_ris, 1) column."""
 
-    Draw order is fixed (direct link first, then per-RIS TX-RIS and RIS-RX)
-    so equal seeds give identical ChannelSets.  A blocked direct link is an
-    exact zero vector and consumes no randomness.
+    h1: np.ndarray | None
+    h1_law: _Ricean | None
+    h2_law: _Ricean
+
+
+@dataclass(frozen=True)
+class _Geometry:
+    direct_law: _Ricean | None   # None when the direct link is blocked
+    links: tuple[_RisLink, ...]
+
+
+@lru_cache(maxsize=32)
+def _geometry(cfg: ScenarioConfig) -> _Geometry:
+    """Steering vectors, path gains and LOS terms of a scenario, built once.
+
+    Every array is read-only: a line-of-sight H1 is handed to every
+    ChannelSet drawn from the scenario.
     """
     lam = cfg.carrier_wavelength
     spacing = lam / 2.0
@@ -181,15 +225,14 @@ def sample_channel_set(cfg: ScenarioConfig, rng: np.random.Generator) -> Channel
     tx = np.asarray(cfg.tx_position, dtype=np.float64)
     rx = np.asarray(cfg.rx_position, dtype=np.float64)
 
-    if cfg.direct_blocked:
-        h = np.zeros(cfg.n_tx, dtype=np.complex128)
-    else:
+    direct_law = None
+    if not cfg.direct_blocked:
         d = np.linalg.norm(rx - tx)
         los = steering_vector("linear", cfg.n_tx, _unit(rx - tx), lam, spacing)
         power = free_space_gain(d, lam) ** 2 * db_to_linear(-cfg.direct_attenuation_db)
-        h = sample_ricean(cfg.n_tx, 1, cfg.kappa_h_db, los[:, None], power, rng).ravel()
+        direct_law = _ricean(cfg.n_tx, 1, cfg.kappa_h_db, los[:, None], power)
 
-    h1_list, h2_list = [], []
+    links = []
     for pos in cfg.ris_positions:
         ris = np.asarray(pos, dtype=np.float64)
         d1 = np.linalg.norm(ris - tx)
@@ -198,15 +241,38 @@ def sample_channel_set(cfg: ScenarioConfig, rng: np.random.Generator) -> Channel
         a_ris_tx = steering_vector(ris_geom, cfg.n_ris, _unit(tx - ris), lam, spacing)
         los_h1 = np.outer(a_tx, np.conj(a_ris_tx))
         p1 = free_space_gain(d1, lam) ** 2
+        h1 = h1_law = None
         if cfg.kappa_h1_db is None:
-            h1 = math.sqrt(p1) * los_h1
+            h1 = _read_only(math.sqrt(p1) * los_h1)
         else:
-            h1 = sample_ricean(cfg.n_tx, cfg.n_ris, cfg.kappa_h1_db, los_h1, p1, rng)
+            h1_law = _ricean(cfg.n_tx, cfg.n_ris, cfg.kappa_h1_db, los_h1, p1)
         a_ris_rx = steering_vector(ris_geom, cfg.n_ris, _unit(rx - ris), lam, spacing)
         p2 = free_space_gain(d2, lam) ** 2
-        h2 = sample_ricean(cfg.n_ris, 1, cfg.kappa_h2_db, a_ris_rx[:, None], p2, rng).ravel()
-        h1_list.append(h1)
-        h2_list.append(h2)
+        links.append(_RisLink(h1=h1, h1_law=h1_law, h2_law=_ricean(
+            cfg.n_ris, 1, cfg.kappa_h2_db, a_ris_rx[:, None], p2)))
+    return _Geometry(direct_law=direct_law, links=tuple(links))
+
+
+def sample_channel_set(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
+    """Draw one i.i.d. coherence-block realization for the configured scenario.
+
+    Draw order is fixed (direct link first, then per-RIS TX-RIS and RIS-RX)
+    so equal seeds give identical ChannelSets.  A blocked direct link is an
+    exact zero vector and consumes no randomness.  The geometry is computed
+    once per scenario; a line-of-sight H1 (``kappa_h1_db is None``) draws
+    nothing and is one shared read-only array in every ChannelSet of the
+    scenario.
+    """
+    geo = _geometry(cfg)
+    if geo.direct_law is None:
+        h = np.zeros(cfg.n_tx, dtype=np.complex128)
+    else:
+        h = geo.direct_law.draw(rng).ravel()
+
+    h1_list, h2_list = [], []
+    for link in geo.links:
+        h1_list.append(link.h1 if link.h1_law is None else link.h1_law.draw(rng))
+        h2_list.append(link.h2_law.draw(rng).ravel())
 
     return ChannelSet(h=h, h1_list=h1_list, h2_list=h2_list)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from .harness import (ConfigError, config_from_mapping, config_to_mapping,
                       evaluate_genome, import_channel_trace, load_config,
@@ -116,6 +117,9 @@ def main(argv=None) -> int:
                                      workers=args.workers)
         _print_records(records)
         return 0
+    except BrokenProcessPool as exc:
+        print(f"error: a fitness worker process died ({exc})", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

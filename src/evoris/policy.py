@@ -303,8 +303,22 @@ def precoder_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig,
     return select_index(probs, rng, mode), probs
 
 
-def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
-                  h2: np.ndarray, rng=None, mode: str = "sample"):
+def tx_ris_attention(w: np.ndarray, arch: ArchConfig, h1: np.ndarray) -> np.ndarray:
+    """TX-RIS branch output (B, n_ris, 2 n_tx) for complex H1 stacked (B, n_tx, n_ris).
+
+    Each element's token is its column of H1, real parts above imaginary.
+    ``w`` is the flat float64 genome.
+    """
+    layout = genome_layout(arch)
+    tokens = np.swapaxes(np.concatenate([h1.real, h1.imag], axis=1), -1, -2)
+    return attention_steps(tokens,
+                           layout.view(w, "attn_tx_ris.wq"),
+                           layout.view(w, "attn_tx_ris.wk"),
+                           layout.view(w, "attn_tx_ris.wv"))
+
+
+def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.ndarray,
+                  rng=None, mode: str = "sample", a_tx_ris=None):
     """Policy pass over B stacked steps at once.
 
     Channels come complex with a leading step axis: h (B, n_tx), h1
@@ -312,25 +326,32 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray
     indices (B,), probs (B, V)); each step's result is bit-identical to
     ``forward`` on that step alone.  Sampling draws one uniform per step
     from ``rng``, in step order.
+
+    ``a_tx_ris`` is an optional precomputed ``tx_ris_attention`` output
+    (B, n_ris, 2 n_tx); when given, ``h1`` is not read and may be None.
+    ``attention_steps`` gives each step the bits of a lone call, so a result
+    computed once for an H1 shared by several steps is exact for each.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     layout = genome_layout(arch)
     if w.size != layout.size:
         raise ValueError(f"genome has {w.size} values, architecture needs {layout.size}")
     h = np.asarray(h, dtype=np.complex128)
-    h1 = np.asarray(h1, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
     b = h.shape[0] if h.ndim else 0
-    if b < 1 or h.shape != (b, arch.n_tx) or h1.shape != (b, arch.n_tx, arch.n_ris) \
-            or h2.shape != (b, arch.n_ris):
+    if b < 1 or h.shape != (b, arch.n_tx) or h2.shape != (b, arch.n_ris):
         raise ValueError("channel shapes do not match the architecture")
+    if a_tx_ris is None:
+        h1 = np.asarray(h1, dtype=np.complex128)
+        if h1.shape != (b, arch.n_tx, arch.n_ris):
+            raise ValueError("channel shapes do not match the architecture")
+        a1 = tx_ris_attention(w, arch, h1)
+    else:
+        a1 = np.asarray(a_tx_ris, dtype=np.float64)
+        if a1.shape != (b, arch.n_ris, 2 * arch.n_tx):
+            raise ValueError("TX-RIS attention shape does not match the architecture")
 
-    tokens_tx_ris = np.swapaxes(np.concatenate([h1.real, h1.imag], axis=1), -1, -2)
     tokens_ris_rx = np.stack([h2.real, h2.imag], axis=-1)
-    a1 = attention_steps(tokens_tx_ris,
-                         layout.view(w, "attn_tx_ris.wq"),
-                         layout.view(w, "attn_tx_ris.wk"),
-                         layout.view(w, "attn_tx_ris.wv"))
     a2 = attention_steps(tokens_ris_rx,
                          layout.view(w, "attn_ris_rx.wq"),
                          layout.view(w, "attn_ris_rx.wk"),

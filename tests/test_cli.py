@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line front end."""
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+from evoris import cli
 from evoris.channel import sample_episodes
 from evoris.cli import main
 from evoris.harness import (config_from_mapping, export_channel_trace,
@@ -100,3 +103,24 @@ def test_import_trace_dim_mismatch_is_an_error(config_path, tmp_path, capsys):
                "--config", str(config_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_dead_fitness_worker_is_one_error_line(config_path, tmp_path, monkeypatch,
+                                               capsys, command):
+    def broken(*_args, **_kwargs):
+        raise BrokenProcessPool("A process in the process pool was terminated "
+                                "abruptly while the future was running or pending.")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    monkeypatch.setattr(cli, "sweep", broken)
+    argv = [command, "--config", str(config_path), "--out", str(tmp_path / "run"),
+            "--policy", "attention", "--workers", "2"]
+    if command == "sweep":
+        argv += ["--param", "scenario.tx_power_dbm", "--values", "10"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: a fitness worker process died")

@@ -5,10 +5,14 @@ attention and conv stages against step-by-step reference computations; the
 full forward pass against a manual composition of the verified stages.
 """
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from evoris.channel import ChannelSet
+from evoris.channel import ChannelSet, sample_channel_set
+from evoris.harness import load_config, trained_policy_configs
 from evoris.numerics import make_rng
 from evoris.policy import (ArchConfig, FFConfig, PolicyOutput, attention_branch,
                            cnn_forward, config_signature, ff_forward, ff_layout,
@@ -475,3 +479,39 @@ def test_config_signature_orders_and_distinguishes():
                                     phase_states=4))
     assert a == b
     assert a != c
+
+
+# -- paper-shape golden values --------------------------------------------------
+# ``forward`` at the shapes of configs/single_ris.yaml (n_tx=16, n_ris=400, 16
+# beams) for make_rng(1).standard_normal(m) * 0.2 on the first
+# ``sample_channel_set`` block of make_rng(22).  Recorded before the TX-RIS
+# attention was computed once per rollout: probs as ``float.hex``, phases as the
+# SHA-256 of their little-endian float64 bytes (all +1 but element 398; the raw
+# paper-scale channels are small, so the global softmaxes are near uniform and
+# every element sees almost the same features).  Exact equality pins the
+# arithmetic, so another NumPy or BLAS build may need the values recorded again.
+PAPER_PROBS = (
+    "0x1.2d939a058d306p-6", "0x1.3c0014fe791afp-7", "0x1.c7636f137cb47p-7",
+    "0x1.58d0381a8fa6fp-7", "0x1.9d6031fec41cdp-4", "0x1.4607259135d69p-6",
+    "0x1.a6ae9ce5ca9fep-8", "0x1.db71028f88003p-3", "0x1.8e645b60772f0p-6",
+    "0x1.d87213c529cbfp-3", "0x1.35f3ae2d4a9cep-4", "0x1.6007f3f9cd9d9p-5",
+    "0x1.17d29049f5d26p-5", "0x1.11c87125a57f8p-4", "0x1.24caa3478ca03p-4",
+    "0x1.57e8e9137be07p-5")
+PAPER_PHASES_SHA256 = "2ab8892011f00d2971d15dc374ee261cc615f045431c6aa0d08d29a4698b1cc9"
+
+
+def test_paper_shape_forward_matches_recorded_values():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" /
+                      "single_ris.yaml")
+    arch, _ = trained_policy_configs(cfg)
+    assert (arch.n_tx, arch.n_ris, arch.codebook_size) == (16, 400, 16)
+    w = make_rng(1).standard_normal(arch.genome_size) * 0.2
+    cs = sample_channel_set(cfg.scenario, make_rng(22))
+    out = forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], mode="argmax")
+    assert out.precoder_index == 7
+    assert tuple(float(p).hex() for p in out.precoder_probs) == PAPER_PROBS
+    assert hashlib.sha256(out.phases.astype("<f8").tobytes()).hexdigest() == \
+        PAPER_PHASES_SHA256
+    sampled = forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=make_rng(23))
+    assert sampled.precoder_index == 10
+    assert np.array_equal(sampled.phases, out.phases)

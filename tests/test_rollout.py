@@ -6,11 +6,13 @@ then ``snr``) and requires bitwise equality of phases, picks, gammas and
 fitness, and that the sampling stream ends where per-step draws leave it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from evoris import multiris
-from evoris.channel import ChannelSet, ScenarioConfig
+from evoris import multiris, policy
+from evoris.channel import ChannelSet, ScenarioConfig, sample_episodes
 from evoris.cosyne import evaluate_fitness
 from evoris.multiris import (AggregatorConfig, agent_act, aggregate_precoder,
                              evaluate_fitness_multi, rollout, split_joint_genome)
@@ -367,3 +369,85 @@ def test_rollout_and_forward_match_recorded_values(monkeypatch, case, mode):
         fitness = evaluate_fitness_multi(values, arch, agg_cfg, scenario, 0, 0,
                                          policy_rng=make_rng(3), mode=mode, trace=trace)
     assert fitness.hex() == want_fitness
+
+
+# -- the TX-RIS attention computed once per rollout ----------------------------
+
+def static_h1_trace(scenario, episodes, horizon, seed, shared):
+    """``unit_trace`` with the first step's H1 at every step: the very same
+    arrays when ``shared``, else equal copies (as an imported trace has)."""
+    trace = unit_trace(scenario, episodes, horizon, seed)
+    first = trace[0][0].h1_list
+    for episode in trace:
+        for cs in episode:
+            cs.h1_list = list(first) if shared else [h1.copy() for h1 in first]
+    return trace
+
+
+def ricean_h1_trace(scenario, episodes, horizon, seed):
+    return sample_episodes(replace(scenario, kappa_h1_db=10.0), episodes, horizon,
+                           make_rng(seed))
+
+
+TRACES = {
+    "shared_h1": lambda scn: static_h1_trace(scn, 3, 7, 2, shared=True),
+    "equal_h1": lambda scn: static_h1_trace(scn, 3, 7, 2, shared=False),
+    "ricean_h1": lambda scn: ricean_h1_trace(scn, 3, 7, 2),
+}
+
+
+@pytest.mark.parametrize("trace_kind", list(TRACES))
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
+def test_rollout_tx_ris_attention_once_matches_replay(monkeypatch, case, arch, agg_cfg,
+                                                      scenario, mode, trace_kind):
+    k = 1 if agg_cfg is None else agg_cfg.ris_count
+    # horizon 7 spans three chunks of at most 3 steps, the last one short
+    monkeypatch.setattr(multiris, "STEP_CHUNK_BYTES", 3 * k * multiris._step_bytes(arch))
+    values = genome(arch, agg_cfg, 1)
+    trace = TRACES[trace_kind](scenario)
+    ref_rng, got_rng = make_rng(3), make_rng(3)
+    ref = replay(values, arch, agg_cfg, scenario, trace, mode, ref_rng)
+
+    batches = []
+    attention_steps = policy.attention_steps
+
+    def counting(tokens, *args, **kwargs):
+        if tokens.shape[-1] == 2 * arch.n_tx:  # the TX-RIS branch's tokens
+            batches.append(tokens.shape[0])
+        return attention_steps(tokens, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(policy, "attention_steps", counting)
+        gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
+                                         trace, mode, got_rng)
+    if trace_kind == "ricean_h1":
+        assert batches == [3 * k, 3 * k, k] * 3
+    else:
+        assert batches == [k]
+
+    cb = evaluation_codebook(scenario, arch.codebook_size)
+    assert len(calls) == len(ref) == 21
+    for (phases, v, gamma), (ref_phases, ref_idx, ref_gamma) in zip(calls, ref):
+        got = np.atleast_2d(np.asarray(phases))
+        want = np.atleast_2d(np.asarray(ref_phases))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(v, cb[:, ref_idx])
+        assert gamma == ref_gamma
+    assert np.array_equal(np.concatenate(gammas), [g for _, _, g in ref])
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    total = 0.0
+    for _, _, g in ref:
+        total += g
+    fitness_rng = make_rng(3)
+    if case == "single":
+        fitness = evaluate_fitness(values, arch, scenario, 0, 0, policy_rng=fitness_rng,
+                                   mode=mode, trace=trace)
+    else:
+        fitness = evaluate_fitness_multi(
+            values, arch, agg_cfg, scenario, 0, 0, policy_rng=fitness_rng, mode=mode,
+            aggregator="network" if agg_cfg is not None else "bypass", trace=trace)
+    assert fitness == total / len(ref)
+    assert fitness_rng.bit_generator.state == ref_rng.bit_generator.state
+

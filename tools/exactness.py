@@ -1,0 +1,84 @@
+"""Digests of the three exactness runs, for comparing two checkouts.
+
+    python3 tools/exactness.py
+
+Trains and evaluates, into a temporary directory that is removed afterwards:
+
+- ``attention`` on ``configs/single_ris_desk.yaml``, 6 generations;
+- ``attention`` on ``configs/multi_ris_desk.yaml``, 6 generations;
+- ``ff`` on ``configs/single_ris_desk.yaml``, 2 generations, ``l_pop`` 8.
+
+and prints one line per artifact: the run, the artifact and the SHA-256 of
+its bytes (``metrics.csv``, ``best.genome``, and the ``generation``,
+``best_fitness`` and ``mean_fitness`` columns of ``history.csv``, which
+leave out the wall times).  Two checkouts that print the same lines train
+and evaluate bit for bit alike.  The library is imported from this
+checkout's ``src/``, with BLAS pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (run name, config, policy, evo overrides)
+RUNS = (
+    ("attention-single_desk", "configs/single_ris_desk.yaml", "attention",
+     {"generations": 6}),
+    ("attention-multi_desk", "configs/multi_ris_desk.yaml", "attention",
+     {"generations": 6}),
+    ("ff-single_desk", "configs/single_ris_desk.yaml", "ff",
+     {"generations": 2, "l_pop": 8}),
+)
+HISTORY_COLUMNS = ("generation", "best_fitness", "mean_fitness")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def history_digest(path: Path) -> str:
+    """SHA-256 of the history's fitness columns, written back as CSV."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            writer.writerow([row[c] for c in HISTORY_COLUMNS])
+    return sha256(out.getvalue().encode("utf-8"))
+
+
+def run_digests(harness, name, config, policy, evo, tmp: Path) -> list[str]:
+    out = tmp / name
+    mapping = harness.config_to_mapping(harness.load_config(ROOT / config))
+    mapping["policy"] = policy
+    mapping["out_dir"] = str(out)
+    mapping["evo"].update(evo)
+    harness.run_experiment(harness.config_from_mapping(mapping), workers=1)
+    return [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
+            f"{name} history.csv[{','.join(HISTORY_COLUMNS)}] "
+            f"{history_digest(out / 'train' / 'history.csv')}",
+            f"{name} best.genome {sha256((out / 'train' / 'best.genome').read_bytes())}"]
+
+
+def main() -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(ROOT / "src"))
+    from evoris import harness
+
+    with tempfile.TemporaryDirectory(prefix="evoris-exactness-") as tmp:
+        for name, config, policy, evo in RUNS:
+            for line in run_digests(harness, name, config, policy, evo, Path(tmp)):
+                print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
