@@ -45,6 +45,11 @@ class ScenarioConfig:
     ris_geometry: str = "auto"
 
     def __post_init__(self):
+        # float tuples: the config is hashed as the key of the geometry cache
+        object.__setattr__(self, "tx_position", tuple(float(x) for x in self.tx_position))
+        object.__setattr__(self, "rx_position", tuple(float(x) for x in self.rx_position))
+        object.__setattr__(self, "ris_positions", tuple(
+            tuple(float(x) for x in p) for p in self.ris_positions))
         if self.n_tx < 1:
             raise ValueError("n_tx must be >= 1")
         if self.n_ris < 1:
@@ -317,12 +322,5 @@ def scenario_from_mapping(d: dict) -> ScenarioConfig:
     bad = set(d) - known
     if bad:
         raise ValueError(f"unknown scenario fields: {sorted(bad)}")
-    kw = dict(d)
-    for key in ("tx_position", "rx_position"):
-        if key in kw:
-            kw[key] = tuple(float(x) for x in kw[key])
-    if "ris_positions" in kw:
-        kw["ris_positions"] = tuple(tuple(float(x) for x in p)
-                                    for p in kw["ris_positions"])
-    return ScenarioConfig(**kw)
+    return ScenarioConfig(**d)
 

@@ -313,14 +313,30 @@ def resolve_workers(workers=None) -> int:
     return max(1, workers)
 
 
+def _pool_map(ctx: dict, workers: int):
+    """``map_fn`` scoring a population's rows in a process pool set up with ``ctx``."""
+    def map_fn(_fn, pop):
+        jobs = [(i, pop.weights[i]) for i in range(pop.weights.shape[0])]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(ctx,)) as pool:
+            return list(pool.map(_worker_eval, jobs))
+    return map_fn
+
+
+def _local_fitness(values, index):
+    return _worker_eval((index, values))
+
+
 def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
           agg_cfg=None, out_dir=None, workers=None) -> TrainResult:
     """Run the generation loop and return the best genome ever evaluated.
 
     Each generation draws a fresh episode block (frozen_episodes pins it to
-    the generation-0 block) and every individual is scored on that same
-    block.  With generations == 0 the initial population is evaluated once
-    and its best row returned.  ``out_dir`` enables history CSV plus
+    the generation-0 block), scores every individual on that same block and
+    records the best row, and all but the last then breed the next
+    population: a run of G generations evaluates G populations and breeds
+    G - 1 times.  With generations == 0 the initial population is evaluated
+    once and its best row returned.  ``out_dir`` enables history CSV plus
     per-generation checkpoints of the running best genome.
     """
     workers = resolve_workers(workers)
@@ -337,58 +353,39 @@ def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
     best_values = None
     best_fitness = -np.inf
     history: list[dict] = []
+    fitness_fn = None if workers > 1 else _local_fitness
 
-    def run_generation(gen_index: int, evolve: bool):
-        nonlocal pop, best_values, best_fitness
+    for gen in range(max(1, params.generations)):
         t0 = time.perf_counter()
         channel_seed = derive_seed(seed, "episodes",
-                                   0 if params.frozen_episodes else gen_index)
+                                   0 if params.frozen_episodes else gen)
         trace = sample_episodes(scenario, params.t_e_train, scenario.horizon,
                                 make_rng(channel_seed))
         ctx = {"policy_cfg": policy_cfg, "agg_cfg": agg_cfg, "scenario": scenario,
                "channel_seed": channel_seed, "trace": trace}
-
+        map_fn = None
         if workers > 1:
-            def map_fn(_fn, p):
-                jobs = [(i, p.weights[i]) for i in range(p.weights.shape[0])]
-                with ProcessPoolExecutor(max_workers=workers,
-                                         initializer=_init_worker,
-                                         initargs=(ctx,)) as pool:
-                    return list(pool.map(_worker_eval, jobs))
-            fitness_fn = None
+            map_fn = _pool_map(ctx, workers)
         else:
-            map_fn = None
             _init_worker(ctx)
 
-            def fitness_fn(values, index):
-                return _worker_eval((index, values))
-
-        if evolve:
+        # breeding keeps the sorted elite in row 0 of the shared matrix
+        scored = pop
+        if gen + 1 < params.generations:
             pop = evolve_generation(pop, fitness_fn, params, evo_rng, map_fn=map_fn)
         else:
             evaluate_population(pop, fitness_fn, map_fn)
-        return time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
 
-    for gen in range(params.generations):
-        before = pop
-        elapsed = run_generation(gen, evolve=True)
-        if best_values is None or before.fitness[0] > best_fitness:
-            best_fitness = float(before.fitness[0])
-            best_values = before.weights[0].copy()
-        history.append({"generation": gen, "best_fitness": float(before.fitness[0]),
-                        "mean_fitness": float(before.fitness.mean()),
+        if scored.fitness[0] > best_fitness:
+            best_fitness = float(scored.fitness[0])
+            best_values = scored.weights[0].copy()
+        history.append({"generation": gen, "best_fitness": float(scored.fitness[0]),
+                        "mean_fitness": float(scored.fitness.mean()),
                         "wall_time": elapsed})
         if out_path is not None:
             save_genome(out_path / "checkpoints" / f"gen_{gen:04d}.genome",
                         best_values, *cfgs)
-
-    if params.generations == 0:
-        elapsed = run_generation(0, evolve=False)
-        best_fitness = float(pop.fitness[0])
-        best_values = pop.weights[0].copy()
-        history.append({"generation": 0, "best_fitness": best_fitness,
-                        "mean_fitness": float(pop.fitness.mean()),
-                        "wall_time": elapsed})
 
     if out_path is not None:
         with open(out_path / "history.csv", "w", newline="", encoding="utf-8") as fh:

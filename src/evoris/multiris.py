@@ -33,28 +33,22 @@ from .system import evaluation_codebook, link_budget_from, snr
 class AggregatorConfig:
     """Receiver-side vote-to-precoder network shapes.
 
-    ``encoding`` is "one-hot" (K blocks of |V| indicator inputs, default) or
-    "index" (K raw integer votes).
+    The K votes enter one-hot: K blocks of |V| indicator inputs.
     """
 
     ris_count: int
     codebook_size: int
     hidden: int = 16
-    encoding: str = "one-hot"
 
     def __post_init__(self):
         if self.ris_count < 1 or self.codebook_size < 1:
             raise ValueError("ris_count and codebook_size must be >= 1")
         if self.hidden < 1:
             raise ValueError("hidden must be >= 1")
-        if self.encoding not in ("one-hot", "index"):
-            raise ValueError(f"unknown vote encoding {self.encoding!r}")
 
     @property
     def input_size(self) -> int:
-        if self.encoding == "one-hot":
-            return self.ris_count * self.codebook_size
-        return self.ris_count
+        return self.ris_count * self.codebook_size
 
     @property
     def genome_size(self) -> int:
@@ -70,7 +64,7 @@ def aggregator_layout(cfg: AggregatorConfig) -> GenomeLayout:
 
 
 def encode_votes(votes, cfg: AggregatorConfig) -> np.ndarray:
-    """Vote vector to network input under the configured encoding.
+    """Vote vector to one-hot network input.
 
     ``votes`` is (K,) for one step or (B, K) for a stack of steps.
     """
@@ -79,8 +73,6 @@ def encode_votes(votes, cfg: AggregatorConfig) -> np.ndarray:
         raise ValueError(f"expected {cfg.ris_count} votes, got shape {votes.shape}")
     if np.any(votes < 0) or np.any(votes >= cfg.codebook_size):
         raise ValueError(f"votes must lie in [0, {cfg.codebook_size})")
-    if cfg.encoding == "index":
-        return votes.astype(np.float64)
     x = np.zeros(votes.shape[:-1] + (cfg.ris_count * cfg.codebook_size,))
     np.put_along_axis(x, np.arange(cfg.ris_count) * cfg.codebook_size + votes, 1.0,
                       axis=-1)

@@ -12,10 +12,6 @@ import hashlib
 
 import numpy as np
 
-# Project-wide RNG: PCG64 streams are reproducible bit-for-bit across
-# platforms for a given seed.
-GENERATOR = "pcg64"
-
 LAYER_NORM_EPS = 1e-5
 
 

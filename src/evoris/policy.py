@@ -35,7 +35,6 @@ class ArchConfig:
     precoder_hidden: int = 64
     direct_branch: bool = False
     phase_states: int = 2
-    conv_activation: str = "tanh"
 
     def __post_init__(self):
         object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
@@ -52,8 +51,6 @@ class ArchConfig:
             raise ValueError("precoder_hidden must be >= 1")
         if self.phase_states < 2:
             raise ValueError("phase_states must be >= 2")
-        if self.conv_activation not in ("tanh", "identity"):
-            raise ValueError("conv_activation must be 'tanh' or 'identity'")
 
     @property
     def d_cat(self) -> int:
@@ -231,15 +228,14 @@ def merge_branches(a_tx_ris: np.ndarray, a_ris_rx: np.ndarray,
 
 
 def cnn_forward(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndarray:
-    """Three same-padded conv layers 1 -> c1 -> c2 -> 1, activated in between.
+    """Three same-padded conv layers 1 -> c1 -> c2 -> 1: tanh, tanh, linear.
 
     ``features`` is one (n_ris, d_cat) map or a (B, n_ris, d_cat) stack.
     """
-    act = np.tanh if arch.conv_activation == "tanh" else (lambda x: x)
     layout = genome_layout(arch)
     x = features[..., None, :, :]
-    x = act(conv2d_same(x, layout.view(w, "conv0.w"), layout.view(w, "conv0.b")))
-    x = act(conv2d_same(x, layout.view(w, "conv1.w"), layout.view(w, "conv1.b")))
+    x = np.tanh(conv2d_same(x, layout.view(w, "conv0.w"), layout.view(w, "conv0.b")))
+    x = np.tanh(conv2d_same(x, layout.view(w, "conv1.w"), layout.view(w, "conv1.b")))
     x = conv2d_same(x, layout.view(w, "conv2.w"), layout.view(w, "conv2.b"))
     return x[..., 0, :, :]
 

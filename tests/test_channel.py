@@ -220,6 +220,25 @@ def test_scenario_rejects_duplicate_positions():
         small_scenario(ris_positions=((0.0, 0.0, 2.0),))
 
 
+def test_list_positions_equal_tuple_positions():
+    # positions given as lists become float tuples, so the config hashes
+    # as the key of the geometry cache
+    as_lists = ScenarioConfig(n_tx=4, n_ris=16, ris_count=2, direct_blocked=False,
+                              tx_position=[0, 0, 2], rx_position=[8.0, 10, 1.5],
+                              ris_positions=[[0.0, 3.0, 2.0], [6, 6, -2]])
+    as_tuples = ScenarioConfig(n_tx=4, n_ris=16, ris_count=2, direct_blocked=False,
+                               ris_positions=((0.0, 3.0, 2.0), (6.0, 6.0, -2.0)))
+    a = sample_episodes(as_lists, 2, 3, make_rng(12))
+    b = sample_episodes(as_tuples, 2, 3, make_rng(12))
+    for cs_a, cs_b in zip(sum(a, []), sum(b, [])):
+        assert np.array_equal(cs_a.h, cs_b.h)
+        for x, y in zip(cs_a.h1_list + cs_a.h2_list, cs_b.h1_list + cs_b.h2_list):
+            assert np.array_equal(x, y)
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    positions = [as_lists.tx_position, as_lists.rx_position, *as_lists.ris_positions]
+    assert all(type(p) is tuple and all(type(x) is float for x in p) for p in positions)
+
+
 # -- pinned draws and the shared line-of-sight H1 ------------------------------
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

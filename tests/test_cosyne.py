@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evoris import cosyne
 from evoris.channel import ScenarioConfig, sample_episodes
 from evoris.cosyne import (EvoParams, Population, _genome_policy_rng,
                            column_shuffle, crossover, evaluate_fitness,
@@ -448,6 +449,27 @@ def test_train_zero_generations_returns_initial_best():
     assert result.best_genome.shape == (ARCH.genome_size,)
     assert len(result.history) == 1
     assert result.history[0]["best_fitness"] == result.best_fitness
+
+
+@pytest.mark.parametrize("generations, evaluations, breeds", [(3, 3, 2), (0, 1, 0)])
+def test_train_evaluates_each_generation_and_breeds_between(monkeypatch, generations,
+                                                            evaluations, breeds):
+    calls = {"evaluate": 0, "breed": 0}
+    real_evaluate, real_evolve = cosyne.evaluate_population, cosyne.evolve_generation
+
+    def evaluate_population(pop, fitness_fn, map_fn=None):
+        calls["evaluate"] += 1
+        real_evaluate(pop, fitness_fn, map_fn)
+
+    def evolve_generation(*args, **kwargs):
+        calls["breed"] += 1
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cosyne, "evaluate_population", evaluate_population)
+    monkeypatch.setattr(cosyne, "evolve_generation", evolve_generation)
+    result = train(SCN, ARCH, tiny_params(generations=generations), seed=107)
+    assert calls == {"evaluate": evaluations, "breed": breeds}
+    assert [r["generation"] for r in result.history] == list(range(evaluations))
 
 
 def test_train_deterministic_history():

@@ -67,11 +67,6 @@ def test_encode_votes_one_hot_positions():
     assert np.all(x[[3, 7]] == 1.0)
 
 
-def test_encode_votes_index_mode():
-    cfg = AggregatorConfig(ris_count=3, codebook_size=4, encoding="index")
-    assert np.array_equal(encode_votes([0, 2, 3], cfg), [0.0, 2.0, 3.0])
-
-
 def test_encode_votes_rejects_out_of_range():
     cfg = AggregatorConfig(ris_count=2, codebook_size=4)
     with pytest.raises(ValueError):

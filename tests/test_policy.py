@@ -161,14 +161,15 @@ def test_merge_rejects_mismatched_direct():
 # -- cnn_forward --------------------------------------------------------------
 
 def test_cnn_identity_stack():
+    # 1x1 unit kernels and zero biases: the three convs compose to tanh, tanh, linear
     arch = ArchConfig(n_tx=2, n_ris=4, codebook_size=2, conv_kernel=1,
-                      conv_channels=(1, 1), conv_activation="identity")
+                      conv_channels=(1, 1))
     layout = genome_layout(arch)
     w = np.zeros(layout.size)
     for name in ("conv0.w", "conv1.w", "conv2.w"):
         layout.view(w, name)[...] = 1.0
     x = make_rng(4).standard_normal((4, arch.d_cat))
-    assert np.array_equal(cnn_forward(x, w, arch), x)
+    assert np.array_equal(cnn_forward(x, w, arch), np.tanh(np.tanh(x)))
 
 
 def test_cnn_zero_kernels_bias_passthrough():

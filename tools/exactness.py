@@ -11,8 +11,11 @@ Trains and evaluates, into a temporary directory that is removed afterwards:
 and prints one line per artifact: the run, the artifact and the SHA-256 of
 its bytes (``metrics.csv``, ``best.genome``, and the ``generation``,
 ``best_fitness`` and ``mean_fitness`` columns of ``history.csv``, which
-leave out the wall times).  Two checkouts that print the same lines train
-and evaluate bit for bit alike.  The library is imported from this
+leave out the wall times).  ``best.genome[28:]`` is the genome's payload
+without its 28-byte header, so a change to the config signature in the
+header alone shows as a differing ``best.genome`` line next to an equal
+payload line.  Two checkouts that print the same lines train and evaluate
+bit for bit alike.  The library is imported from this
 checkout's ``src/``, with BLAS pinned to one thread.
 """
 
@@ -38,6 +41,7 @@ RUNS = (
      {"generations": 2, "l_pop": 8}),
 )
 HISTORY_COLUMNS = ("generation", "best_fitness", "mean_fitness")
+GENOME_HEADER_BYTES = 28
 
 
 def sha256(data: bytes) -> str:
@@ -61,10 +65,13 @@ def run_digests(harness, name, config, policy, evo, tmp: Path) -> list[str]:
     mapping["out_dir"] = str(out)
     mapping["evo"].update(evo)
     harness.run_experiment(harness.config_from_mapping(mapping), workers=1)
+    genome = (out / "train" / "best.genome").read_bytes()
     return [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
             f"{name} history.csv[{','.join(HISTORY_COLUMNS)}] "
             f"{history_digest(out / 'train' / 'history.csv')}",
-            f"{name} best.genome {sha256((out / 'train' / 'best.genome').read_bytes())}"]
+            f"{name} best.genome {sha256(genome)}",
+            f"{name} best.genome[{GENOME_HEADER_BYTES}:] "
+            f"{sha256(genome[GENOME_HEADER_BYTES:])}"]
 
 
 def main() -> int:
