@@ -17,6 +17,17 @@ import numpy as np
 Vec3 = tuple[float, float, float]
 
 
+def _position(name: str, p) -> Vec3:
+    """A node position as a float 3-tuple; anything else raises, naming ``name``."""
+    try:
+        xyz = tuple(float(x) for x in p)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected 3 finite coordinates, got {p!r}") from None
+    if len(xyz) != 3 or not all(math.isfinite(x) for x in xyz):
+        raise ValueError(f"{name}: expected 3 finite coordinates, got {p!r}")
+    return xyz
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, fading and power description of one simulated link.
@@ -46,10 +57,10 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # float tuples: the config is hashed as the key of the geometry cache
-        object.__setattr__(self, "tx_position", tuple(float(x) for x in self.tx_position))
-        object.__setattr__(self, "rx_position", tuple(float(x) for x in self.rx_position))
+        object.__setattr__(self, "tx_position", _position("tx_position", self.tx_position))
+        object.__setattr__(self, "rx_position", _position("rx_position", self.rx_position))
         object.__setattr__(self, "ris_positions", tuple(
-            tuple(float(x) for x in p) for p in self.ris_positions))
+            _position(f"ris_positions[{i}]", p) for i, p in enumerate(self.ris_positions)))
         if self.n_tx < 1:
             raise ValueError("n_tx must be >= 1")
         if self.n_ris < 1:

@@ -338,7 +338,11 @@ def run_experiment(cfg: ExperimentConfig, *, param_name=None, param_value=None,
 
 
 def set_config_parameter(cfg: ExperimentConfig, parameter: str, value):
-    """New config with one dotted-path field replaced, e.g. scenario.noise_dbm."""
+    """New config with one dotted-path field replaced, e.g. scenario.noise_dbm.
+
+    ``scenario.n_tx`` and ``scenario.n_ris`` also set the architecture's copy
+    of that size, so a sweep over the array sizes keeps the two in step.
+    """
     mapping = config_to_mapping(cfg)
     parts = parameter.split(".")
     node = mapping
@@ -350,6 +354,8 @@ def set_config_parameter(cfg: ExperimentConfig, parameter: str, value):
     if not isinstance(node, dict) or leaf not in node:
         raise ConfigError(f"sweep parameter {parameter!r}: no field {leaf!r}")
     node[leaf] = value
+    if parameter in ("scenario.n_tx", "scenario.n_ris"):
+        mapping["arch"][leaf] = value
     return config_from_mapping(mapping)
 
 

@@ -7,6 +7,7 @@ as references; sampling determinism is checked at the seed level.
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,6 +239,19 @@ def test_list_positions_equal_tuple_positions():
     positions = [as_lists.tx_position, as_lists.rx_position, *as_lists.ris_positions]
     assert all(type(p) is tuple and all(type(x) is float for x in p) for p in positions)
 
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("tx_position", (0.0, 0.0)),
+    ("rx_position", (8.0, 10.0, 1.5, 0.0)),
+    ("ris_positions", ((0.0, 3.0),)),
+    ("tx_position", (0.0, float("nan"), 2.0)),
+    ("ris_positions", ((0.0, 3.0, float("inf")),)),
+    ("rx_position", 8.0),
+])
+def test_scenario_rejects_malformed_positions(field, bad):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        ScenarioConfig(n_tx=4, n_ris=16, **{field: bad})
 
 # -- pinned draws and the shared line-of-sight H1 ------------------------------
 

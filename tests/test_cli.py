@@ -124,3 +124,23 @@ def test_dead_fitness_worker_is_one_error_line(config_path, tmp_path, monkeypatc
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: a fitness worker process died")
+
+
+def test_eval_non_finite_genome_is_one_error_line(config_path, tmp_path, capsys):
+    from evoris.harness import load_config
+    from evoris.policy import save_genome
+
+    arch = load_config(config_path).arch
+    w = np.zeros(arch.genome_size)
+    w[[5, 9]] = [np.nan, np.inf]
+    path = tmp_path / "nan.genome"
+    save_genome(path, w, arch)
+    rc = main(["eval", "--config", str(config_path), "--policy", "attention",
+               "--genome", str(path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert str(path) in lines[0] and "weight 5 " in lines[0]

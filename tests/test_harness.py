@@ -64,6 +64,13 @@ def test_config_invalid_p_mut_names_field():
     assert "evo" in str(err.value) and "p_mut" in str(err.value)
 
 
+
+def test_config_malformed_position_names_scenario_and_field():
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping(tiny_mapping(scenario={"n_tx": 2, "n_ris": 4,
+                                                   "tx_position": [0.0, 0.0]}))
+    assert str(err.value).startswith("scenario: tx_position")
+
 def test_config_rejects_unknown_top_level():
     with pytest.raises(ConfigError) as err:
         config_from_mapping(tiny_mapping(metrics="everything"))
@@ -116,6 +123,22 @@ def test_set_config_parameter_dotted_path():
     with pytest.raises(ConfigError):
         set_config_parameter(cfg, "scenario.bandwidth", 1.0)
 
+
+
+@pytest.mark.parametrize("parameter,values", [("scenario.n_ris", [9, 6]),
+                                              ("scenario.n_tx", [3, 4])])
+def test_sweep_over_array_sizes_rederives_arch(parameter, values):
+    cfg = tiny_config(policy="random")
+    records = sweep(cfg, parameter, values)
+    assert [r.param_value for r in records] == values
+    assert all(np.isfinite(r.mean_snr_db) for r in records)
+    leaf = parameter.split(".")[1]
+    for value in values:
+        point = set_config_parameter(cfg, parameter, value)
+        assert getattr(point.scenario, leaf) == getattr(point.arch, leaf) == value
+        assert point.arch.codebook_size == cfg.arch.codebook_size
+    with pytest.raises(ConfigError, match="codebook_size"):
+        set_config_parameter(cfg, "scenario.n_tx", 1)
 
 # -- run_experiment ---------------------------------------------------------------
 

@@ -6,13 +6,16 @@ full forward pass against a manual composition of the verified stages.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evoris.channel import ChannelSet, sample_channel_set
+from evoris import policy as policy_module
+from evoris.channel import ChannelSet, sample_channel_set, sample_episodes
 from evoris.harness import load_config, trained_policy_configs
+from evoris.multiris import agent_act
 from evoris.numerics import make_rng
 from evoris.policy import (ArchConfig, FFConfig, PolicyOutput, attention_branch,
                            cnn_forward, config_signature, ff_forward, ff_layout,
@@ -516,3 +519,153 @@ def test_paper_shape_forward_matches_recorded_values():
     sampled = forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=make_rng(23))
     assert sampled.precoder_index == 10
     assert np.array_equal(sampled.phases, out.phases)
+
+
+# -- the TX-RIS attention memo of ``forward`` -----------------------------------
+# Every case compares ``forward`` (which consults the memo for a read-only H1)
+# bit for bit with ``forward_steps`` computing the attention itself, and the
+# sampling streams they leave behind.
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def config_policy(name, kappa_h1_db=None):
+    """A config's arch and scenario (its line-of-sight H1 replaced by a Ricean
+    one for a finite ``kappa_h1_db``) with a seeded genome."""
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    assert cfg.scenario.kappa_h1_db is None
+    w = make_rng(41).standard_normal(cfg.arch.genome_size) * 0.3
+    return cfg.arch, replace(cfg.scenario, kappa_h1_db=kappa_h1_db), w
+
+
+def reference_forward(w, arch, h, h1, h2, rng, mode):
+    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
+                                       np.array(h1)[None], np.asarray(h2)[None],
+                                       rng, mode)
+    return phases[0], int(idx[0]), probs[0]
+
+
+def assert_same_output(out, ref):
+    phases, idx, probs = ref
+    assert out.phases.dtype == phases.dtype and np.array_equal(out.phases, phases)
+    assert out.precoder_index == idx
+    assert np.array_equal(out.precoder_probs, probs)
+
+
+@pytest.fixture()
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(policy_module, "_tx_ris_memo", [])
+
+
+def counting_tx_ris_attention(monkeypatch):
+    calls = []
+    original = policy_module.tx_ris_attention
+
+    def counting(w, arch, h1):
+        calls.append(h1.shape[0])
+        return original(w, arch, h1)
+
+    monkeypatch.setattr(policy_module, "tx_ris_attention", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+@pytest.mark.parametrize("name,kappa_h1_db", [("single_ris_desk", None),
+                                              ("multi_ris_desk", None),
+                                              ("single_ris_desk", 10.0)],
+                         ids=["single_desk", "multi_desk", "single_desk_ricean"])
+def test_forward_memo_matches_forward_steps(empty_memo, name, kappa_h1_db, mode):
+    arch, scenario, w = config_policy(name, kappa_h1_db)
+    blocks = [cs for episode in sample_episodes(scenario, 2, 4, make_rng(42))
+              for cs in episode]
+    rng, ref_rng = make_rng(43), make_rng(43)
+    for cs in blocks:
+        # the surfaces alternate, as the agents of a multi-surface block do
+        for h1, h2 in zip(cs.h1_list, cs.h2_list):
+            ref = reference_forward(w, arch, cs.h, h1, h2, ref_rng, mode)
+            assert_same_output(forward(w, arch, cs.h, h1, h2, rng=rng, mode=mode), ref)
+            if mode == "argmax":
+                phases, vote = agent_act(w, arch, cs.h, h1, h2)
+                assert np.array_equal(phases, ref[0]) and vote == ref[1]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    memo_size = len(policy_module._tx_ris_memo)
+    assert memo_size == (scenario.ris_count if kappa_h1_db is None else 0)
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+def test_forward_memo_sees_tx_ris_weights_changed_in_place(empty_memo):
+    w = make_rng(44).standard_normal(TOY.genome_size) * 0.3
+    h, h1, h2 = toy_channels(45)
+    h1 = read_only(h1)
+    before = forward(w, TOY, h, h1, h2, mode="argmax")
+    genome_layout(TOY).view(w, "attn_tx_ris.wv")[:] *= -3.0
+    ref = reference_forward(w, TOY, h, h1, h2, None, "argmax")
+    assert not np.array_equal(ref[2], before.precoder_probs)  # a stale hit would show
+    assert_same_output(forward(w, TOY, h, h1, h2, mode="argmax"), ref)
+    assert len(policy_module._tx_ris_memo) == 2
+
+
+def test_forward_memo_sees_h1_changed_in_place(empty_memo):
+    w = make_rng(46).standard_normal(TOY.genome_size) * 0.3
+    h, h1, h2 = toy_channels(47)
+    h1 = read_only(h1)
+    before = forward(w, TOY, h, h1, h2, mode="argmax")
+    h1.flags.writeable = True
+    h1[:, 1] = 2.0 - 1.5j
+    ref = reference_forward(w, TOY, h, h1, h2, None, "argmax")
+    assert not np.array_equal(ref[2], before.precoder_probs)  # a stale hit would show
+    assert_same_output(forward(w, TOY, h, h1, h2, mode="argmax"), ref)
+    h1 = read_only(h1)
+    assert_same_output(forward(w, TOY, h, h1, h2, mode="argmax"), ref)
+    assert len(policy_module._tx_ris_memo) == 2
+
+
+@pytest.mark.parametrize("name", ["single_ris_desk", "multi_ris_desk"])
+def test_forward_memo_computes_line_of_sight_attention_once_per_surface(
+        empty_memo, monkeypatch, name):
+    arch, scenario, w = config_policy(name)
+    calls = counting_tx_ris_attention(monkeypatch)
+    blocks = [cs for episode in sample_episodes(scenario, 2, 5, make_rng(48))
+              for cs in episode]
+    for cs in blocks:
+        for h1, h2 in zip(cs.h1_list, cs.h2_list):
+            agent_act(w, arch, cs.h, h1, h2)
+    assert calls == [1] * scenario.ris_count
+
+
+def test_forward_memo_skips_a_writable_ricean_h1(empty_memo, monkeypatch):
+    arch, scenario, w = config_policy("single_ris_desk", kappa_h1_db=10.0)
+    calls = counting_tx_ris_attention(monkeypatch)
+    blocks = [cs for episode in sample_episodes(scenario, 2, 5, make_rng(49))
+              for cs in episode]
+    for cs in blocks:
+        forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], mode="argmax")
+    assert calls == [1] * len(blocks)
+    assert policy_module._tx_ris_memo == []
+
+
+def test_forward_memo_keeps_its_bound_most_recent_first(empty_memo, monkeypatch):
+    bound = policy_module.TX_RIS_MEMO_ENTRIES
+    assert bound >= 4
+    w = make_rng(50).standard_normal(TOY.genome_size) * 0.3
+    h, _, h2 = toy_channels(51)
+    h1s = [read_only(toy_channels(52 + i)[1]) for i in range(bound + 3)]
+    calls = counting_tx_ris_attention(monkeypatch)
+    for i, h1 in enumerate(h1s):
+        forward(w, TOY, h, h1, h2, mode="argmax")
+        assert len(policy_module._tx_ris_memo) == min(i + 1, bound)
+    memo_h1 = [key[1] for key, _ in policy_module._tx_ris_memo]
+    assert memo_h1 == [h1.tobytes() for h1 in reversed(h1s[-bound:])]
+    # a hit moves its entry to the front; an evicted H1 is computed again
+    forward(w, TOY, h, h1s[-bound], h2, mode="argmax")
+    assert policy_module._tx_ris_memo[0][0][1] == h1s[-bound].tobytes()
+    assert len(calls) == len(h1s)
+    ref = reference_forward(w, TOY, h, h1s[0], h2, None, "argmax")
+    assert_same_output(forward(w, TOY, h, h1s[0], h2, mode="argmax"), ref)
+    assert len(calls) == len(h1s) + 2  # the reference computes its own
+    assert len(policy_module._tx_ris_memo) == bound
+    assert all(not out.flags.writeable for _, out in policy_module._tx_ris_memo)

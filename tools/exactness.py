@@ -14,8 +14,14 @@ its bytes (``metrics.csv``, ``best.genome``, and the ``generation``,
 leave out the wall times).  ``best.genome[28:]`` is the genome's payload
 without its 28-byte header, so a change to the config signature in the
 header alone shows as a differing ``best.genome`` line next to an equal
-payload line.  Two checkouts that print the same lines train and evaluate
-bit for bit alike.  The library is imported from this
+payload line.  For the two attention runs a ``decisions`` line adds the
+SHA-256 of the argmax decisions of ``best.genome`` on every block of the run's
+evaluation episodes, taken one block at a time through the one-block decision
+path: ``policy.forward`` for a single surface, ``multiris.agent_act`` per
+surface plus ``multiris.aggregate_precoder`` for several.  Each block
+contributes its phases as little-endian float64 and its precoder index as a
+little-endian int64.  Two checkouts that print the same lines train,
+evaluate and decide bit for bit alike.  The library is imported from this
 checkout's ``src/``, with BLAS pinned to one thread.
 """
 
@@ -25,6 +31,7 @@ import csv
 import hashlib
 import io
 import os
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -58,20 +65,57 @@ def history_digest(path: Path) -> str:
     return sha256(out.getvalue().encode("utf-8"))
 
 
+def decisions_digest(cfg, genome_path: Path) -> str:
+    """SHA-256 of the one-block argmax decisions over the evaluation episodes."""
+    import numpy as np
+    from evoris import harness, multiris, policy
+    from evoris.channel import sample_episodes
+    from evoris.numerics import derive_rng
+
+    arch, agg_cfg = harness.trained_policy_configs(cfg)
+    cfgs = (arch,) if agg_cfg is None else (arch, agg_cfg)
+    g14, g5 = multiris.split_joint_genome(policy.load_genome(genome_path, *cfgs),
+                                          arch, agg_cfg)
+    scenario = cfg.scenario
+    episodes = sample_episodes(scenario, cfg.eval_episodes, scenario.horizon,
+                               derive_rng(cfg.seed, "eval", "channels"))
+    digest = hashlib.sha256()
+    for cs in (cs for episode in episodes for cs in episode):
+        if agg_cfg is None:
+            out = policy.forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0],
+                                 mode="argmax")
+            phase_list, idx = [out.phases], out.precoder_index
+        else:
+            acts = [multiris.agent_act(g14, arch, cs.h, h1, h2)
+                    for h1, h2 in zip(cs.h1_list, cs.h2_list)]
+            idx, _ = multiris.aggregate_precoder(g5, agg_cfg, [v for _, v in acts],
+                                                 None, "argmax")
+            phase_list = [phases for phases, _ in acts]
+        for phases in phase_list:
+            digest.update(np.asarray(phases, dtype="<f8").tobytes())
+        digest.update(struct.pack("<q", int(idx)))
+    return digest.hexdigest()
+
+
 def run_digests(harness, name, config, policy, evo, tmp: Path) -> list[str]:
     out = tmp / name
     mapping = harness.config_to_mapping(harness.load_config(ROOT / config))
     mapping["policy"] = policy
     mapping["out_dir"] = str(out)
     mapping["evo"].update(evo)
-    harness.run_experiment(harness.config_from_mapping(mapping), workers=1)
-    genome = (out / "train" / "best.genome").read_bytes()
-    return [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
-            f"{name} history.csv[{','.join(HISTORY_COLUMNS)}] "
-            f"{history_digest(out / 'train' / 'history.csv')}",
-            f"{name} best.genome {sha256(genome)}",
-            f"{name} best.genome[{GENOME_HEADER_BYTES}:] "
-            f"{sha256(genome[GENOME_HEADER_BYTES:])}"]
+    cfg = harness.config_from_mapping(mapping)
+    harness.run_experiment(cfg, workers=1)
+    genome_path = out / "train" / "best.genome"
+    genome = genome_path.read_bytes()
+    lines = [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
+             f"{name} history.csv[{','.join(HISTORY_COLUMNS)}] "
+             f"{history_digest(out / 'train' / 'history.csv')}",
+             f"{name} best.genome {sha256(genome)}",
+             f"{name} best.genome[{GENOME_HEADER_BYTES}:] "
+             f"{sha256(genome[GENOME_HEADER_BYTES:])}"]
+    if policy == "attention":
+        lines.append(f"{name} decisions {decisions_digest(cfg, genome_path)}")
+    return lines
 
 
 def main() -> int:
