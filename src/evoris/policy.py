@@ -365,24 +365,31 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
     return phase_head(feat, w, arch), idx, probs
 
 
-# The TX-RIS attention outputs ``forward`` has computed for read-only H1s, as
-# ((weights bytes, H1 bytes, arch), output) pairs, most recent first.  A
-# line-of-sight H1 is one read-only array shared by every block of a scenario,
-# so one entry per surface and genome serves every later decision.  Four
-# surfaces (multi_ris_k4.yaml) fit twice over; a paper-scale entry holds
-# ~230 kB.  The list is changed in place, never rebound.
-TX_RIS_MEMO_ENTRIES = 8
+# The TX-RIS attention outputs ``forward`` has computed, as ((weights bytes,
+# H1 bytes, arch), output) pairs, most recent first.  A line-of-sight H1 is one
+# array shared by every block of a scenario, so one entry per surface and
+# genome serves every later decision.  The bound is the largest shipped
+# ``ris_count`` (multi_ris_k4.yaml); a paper-scale entry holds ~230 kB.  The
+# list is changed in place, never rebound.
+_TX_RIS_MEMO_ENTRIES = 4
 _tx_ris_memo: list = []
 
 
-def _memo_tx_ris_attention(w: np.ndarray, arch: ArchConfig, h1: np.ndarray) -> np.ndarray:
+def _memo_tx_ris_attention(w, arch: ArchConfig, h1):
     """``tx_ris_attention`` of one H1 (n_tx, n_ris), stored read-only in the memo.
 
     The key holds the bits of the TX-RIS weights and of H1, so an entry answers
     only the inputs it was computed from, even if the caller's arrays change in
-    place later, and a hit returns the bits a fresh call would give.
+    place later, and a hit returns the bits a fresh call would give.  Returns
+    None for a genome or H1 that does not fit ``arch`` or that the attention
+    rejects (a non-finite weight); ``forward_steps`` then checks every input in
+    its usual order and raises its usual error.
     """
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    h1 = np.asarray(h1, dtype=np.complex128)
     layout = genome_layout(arch)
+    if w.size != layout.size or h1.shape != (arch.n_tx, arch.n_ris):
+        return None
     key = (b"".join(layout.view(w, f"attn_tx_ris.{n}").tobytes() for n in ("wq", "wk", "wv")),
            h1.tobytes(), arch)
     for i, entry in enumerate(_tx_ris_memo):
@@ -390,10 +397,13 @@ def _memo_tx_ris_attention(w: np.ndarray, arch: ArchConfig, h1: np.ndarray) -> n
             if i:
                 _tx_ris_memo.insert(0, _tx_ris_memo.pop(i))
             return entry[1]
-    out = tx_ris_attention(w, arch, h1[None])
+    try:
+        out = tx_ris_attention(w, arch, h1[None])
+    except ValueError:
+        return None
     out.flags.writeable = False
     _tx_ris_memo.insert(0, (key, out))
-    del _tx_ris_memo[TX_RIS_MEMO_ENTRIES:]
+    del _tx_ris_memo[_TX_RIS_MEMO_ENTRIES:]
     return out
 
 
@@ -406,20 +416,15 @@ def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
     pick: "sample" draws from the softmax, "argmax" is deterministic.  This
     is the one-step case of ``forward_steps``.
 
-    A read-only H1 (the shared line-of-sight H1 of ``sample_channel_set``)
-    takes its TX-RIS attention from a small memo, keyed by the bits of the
-    TX-RIS weights and of H1; results are bit-identical either way.  A
-    writable H1 never enters the memo.
+    The TX-RIS attention comes from a small memo keyed by the bits of the
+    TX-RIS weights and of H1, so the line-of-sight H1 every block of a
+    scenario shares is attended once per genome; results are bit-identical
+    either way.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    h1 = np.asarray(h1, dtype=np.complex128)
-    a_tx_ris = None
-    if (not h1.flags.writeable and w.size == genome_layout(arch).size
-            and h1.shape == (arch.n_tx, arch.n_ris)):
-        a_tx_ris = _memo_tx_ris_attention(w, arch, h1)
-    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None], h1[None],
-                                       np.asarray(h2)[None], rng, mode,
-                                       a_tx_ris=a_tx_ris)
+    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
+                                       np.asarray(h1)[None], np.asarray(h2)[None],
+                                       rng, mode,
+                                       a_tx_ris=_memo_tx_ris_attention(w, arch, h1))
     return PolicyOutput(phases=phases[0], precoder_index=int(idx[0]),
                         precoder_probs=probs[0])
 

@@ -522,7 +522,7 @@ def test_paper_shape_forward_matches_recorded_values():
 
 
 # -- the TX-RIS attention memo of ``forward`` -----------------------------------
-# Every case compares ``forward`` (which consults the memo for a read-only H1)
+# Every case compares ``forward`` (which consults the memo)
 # bit for bit with ``forward_steps`` computing the attention itself, and the
 # sampling streams they leave behind.
 
@@ -589,18 +589,13 @@ def test_forward_memo_matches_forward_steps(empty_memo, name, kappa_h1_db, mode)
                 assert np.array_equal(phases, ref[0]) and vote == ref[1]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     memo_size = len(policy_module._tx_ris_memo)
-    assert memo_size == (scenario.ris_count if kappa_h1_db is None else 0)
-
-
-def read_only(a):
-    a.flags.writeable = False
-    return a
+    assert memo_size == (scenario.ris_count if kappa_h1_db is None
+                         else policy_module._TX_RIS_MEMO_ENTRIES)
 
 
 def test_forward_memo_sees_tx_ris_weights_changed_in_place(empty_memo):
     w = make_rng(44).standard_normal(TOY.genome_size) * 0.3
     h, h1, h2 = toy_channels(45)
-    h1 = read_only(h1)
     before = forward(w, TOY, h, h1, h2, mode="argmax")
     genome_layout(TOY).view(w, "attn_tx_ris.wv")[:] *= -3.0
     ref = reference_forward(w, TOY, h, h1, h2, None, "argmax")
@@ -609,18 +604,20 @@ def test_forward_memo_sees_tx_ris_weights_changed_in_place(empty_memo):
     assert len(policy_module._tx_ris_memo) == 2
 
 
-def test_forward_memo_sees_h1_changed_in_place(empty_memo):
+def test_forward_memo_sees_h1_changed_in_place(empty_memo, monkeypatch):
     w = make_rng(46).standard_normal(TOY.genome_size) * 0.3
     h, h1, h2 = toy_channels(47)
-    h1 = read_only(h1)
     before = forward(w, TOY, h, h1, h2, mode="argmax")
-    h1.flags.writeable = True
     h1[:, 1] = 2.0 - 1.5j
     ref = reference_forward(w, TOY, h, h1, h2, None, "argmax")
     assert not np.array_equal(ref[2], before.precoder_probs)  # a stale hit would show
     assert_same_output(forward(w, TOY, h, h1, h2, mode="argmax"), ref)
-    h1 = read_only(h1)
-    assert_same_output(forward(w, TOY, h, h1, h2, mode="argmax"), ref)
+    # a read-only copy with the same values hits the new entry
+    calls = counting_tx_ris_attention(monkeypatch)
+    frozen = h1.copy()
+    frozen.flags.writeable = False
+    assert_same_output(forward(w, TOY, h, frozen, h2, mode="argmax"), ref)
+    assert calls == []
     assert len(policy_module._tx_ris_memo) == 2
 
 
@@ -637,23 +634,34 @@ def test_forward_memo_computes_line_of_sight_attention_once_per_surface(
     assert calls == [1] * scenario.ris_count
 
 
-def test_forward_memo_skips_a_writable_ricean_h1(empty_memo, monkeypatch):
-    arch, scenario, w = config_policy("single_ris_desk", kappa_h1_db=10.0)
-    calls = counting_tx_ris_attention(monkeypatch)
-    blocks = [cs for episode in sample_episodes(scenario, 2, 5, make_rng(49))
-              for cs in episode]
-    for cs in blocks:
-        forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], mode="argmax")
-    assert calls == [1] * len(blocks)
+@pytest.mark.parametrize("fault,message", [
+    ("short genome", "genome has"),
+    ("H1 one element short", "channel shapes do not match"),
+    ("NaN weight and short h", "channel shapes do not match"),
+])
+def test_forward_memo_leaves_malformed_inputs_to_forward_steps(empty_memo, fault, message):
+    w = make_rng(60).standard_normal(TOY.genome_size) * 0.3
+    h, h1, h2 = toy_channels(61)
+    if fault == "short genome":
+        w = w[:-1]
+    elif fault == "H1 one element short":
+        h1 = h1[:, :-1]
+    else:
+        genome_layout(TOY).view(w, "attn_tx_ris.wq")[0, 0] = np.nan
+        h = h[:-1]
+    with pytest.raises(ValueError, match=message):
+        forward(w, TOY, h, h1, h2, mode="argmax")
     assert policy_module._tx_ris_memo == []
 
 
 def test_forward_memo_keeps_its_bound_most_recent_first(empty_memo, monkeypatch):
-    bound = policy_module.TX_RIS_MEMO_ENTRIES
-    assert bound >= 4
+    bound = policy_module._TX_RIS_MEMO_ENTRIES
+    # every shipped config's surfaces fit
+    assert all(load_config(path).scenario.ris_count <= bound
+               for path in CONFIGS.glob("*.yaml"))
     w = make_rng(50).standard_normal(TOY.genome_size) * 0.3
     h, _, h2 = toy_channels(51)
-    h1s = [read_only(toy_channels(52 + i)[1]) for i in range(bound + 3)]
+    h1s = [toy_channels(52 + i)[1] for i in range(bound + 3)]
     calls = counting_tx_ris_attention(monkeypatch)
     for i, h1 in enumerate(h1s):
         forward(w, TOY, h, h1, h2, mode="argmax")
