@@ -14,7 +14,9 @@ episode seeds are frozen.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import os
 import time
@@ -290,20 +292,37 @@ _WORKER_CTX: dict = {}
 
 
 def _init_worker(ctx):
+    """Give this process one run's constant context and an empty block cache."""
+    _WORKER_CTX.clear()
     _WORKER_CTX.update(ctx)
 
 
-def _worker_eval(args):
-    index, values = args
+def _episode_block(channel_seed: int):
+    """The episode block of ``channel_seed``, sampled once per seed in each
+    process and kept until the next seed (frozen episodes keep one seed)."""
     c = _WORKER_CTX
-    policy_rng = _genome_policy_rng(c["channel_seed"], values)
+    seed, block = c.get("block", (None, None))
+    if seed != channel_seed:
+        scenario = c["scenario"]
+        block = sample_episodes(scenario, c["t_e_train"], scenario.horizon,
+                                make_rng(channel_seed))
+        c["block"] = (channel_seed, block)
+    return block
+
+
+def _worker_eval(values, index, channel_seed):
+    """Fitness of one row on the block of ``channel_seed``; a pool job
+    carries these three arguments and nothing else."""
+    c = _WORKER_CTX
+    trace = _episode_block(channel_seed)
+    policy_rng = _genome_policy_rng(channel_seed, values)
     if c["agg_cfg"] is None:
         return evaluate_fitness(values, c["policy_cfg"], c["scenario"], 0, 0,
-                                policy_rng=policy_rng, trace=c["trace"])
+                                policy_rng=policy_rng, trace=trace)
     from .multiris import evaluate_fitness_multi
     return evaluate_fitness_multi(values, c["policy_cfg"], c["agg_cfg"],
                                   c["scenario"], 0, 0, policy_rng=policy_rng,
-                                  trace=c["trace"])
+                                  trace=trace)
 
 
 def resolve_workers(workers=None) -> int:
@@ -311,20 +330,6 @@ def resolve_workers(workers=None) -> int:
     if workers is None:
         workers = int(os.environ.get("EVORIS_WORKERS", "1"))
     return max(1, workers)
-
-
-def _pool_map(ctx: dict, workers: int):
-    """``map_fn`` scoring a population's rows in a process pool set up with ``ctx``."""
-    def map_fn(_fn, pop):
-        jobs = [(i, pop.weights[i]) for i in range(pop.weights.shape[0])]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            return list(pool.map(_worker_eval, jobs))
-    return map_fn
-
-
-def _local_fitness(values, index):
-    return _worker_eval((index, values))
 
 
 def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
@@ -337,7 +342,9 @@ def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
     population: a run of G generations evaluates G populations and breeds
     G - 1 times.  With generations == 0 the initial population is evaluated
     once and its best row returned.  ``out_dir`` enables history CSV plus
-    per-generation checkpoints of the running best genome.
+    per-generation checkpoints of the running best genome.  With more than
+    one worker every generation's rows are scored in one process pool that
+    lasts the whole call; with one they are scored in this process.
     """
     workers = resolve_workers(workers)
     genome_m = policy_cfg.genome_size + (agg_cfg.genome_size if agg_cfg else 0)
@@ -353,39 +360,47 @@ def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,
     best_values = None
     best_fitness = -np.inf
     history: list[dict] = []
-    fitness_fn = None if workers > 1 else _local_fitness
+    ctx = {"policy_cfg": policy_cfg, "agg_cfg": agg_cfg, "scenario": scenario,
+           "t_e_train": params.t_e_train}
+    _init_worker(ctx)
+    if workers > 1:
+        # one pool per run; its workers start at the first job of generation 0
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                   initargs=(ctx,))
 
-    for gen in range(max(1, params.generations)):
-        t0 = time.perf_counter()
-        channel_seed = derive_seed(seed, "episodes",
-                                   0 if params.frozen_episodes else gen)
-        trace = sample_episodes(scenario, params.t_e_train, scenario.horizon,
-                                make_rng(channel_seed))
-        ctx = {"policy_cfg": policy_cfg, "agg_cfg": agg_cfg, "scenario": scenario,
-               "channel_seed": channel_seed, "trace": trace}
-        map_fn = None
-        if workers > 1:
-            map_fn = _pool_map(ctx, workers)
-        else:
-            _init_worker(ctx)
+        def map_fn(fn, p):
+            return pool.map(fn, p.weights, range(p.weights.shape[0]))
+    else:
+        pool, map_fn = contextlib.nullcontext(), None
 
-        # breeding keeps the sorted elite in row 0 of the shared matrix
-        scored = pop
-        if gen + 1 < params.generations:
-            pop = evolve_generation(pop, fitness_fn, params, evo_rng, map_fn=map_fn)
-        else:
-            evaluate_population(pop, fitness_fn, map_fn)
-        elapsed = time.perf_counter() - t0
+    with pool:
+        for gen in range(max(1, params.generations)):
+            t0 = time.perf_counter()
+            channel_seed = derive_seed(seed, "episodes",
+                                       0 if params.frozen_episodes else gen)
+            # sampled here in every mode, before any job: the serial path
+            # scores on it, and pool workers sample the same block by seed
+            _WORKER_CTX["block"] = (channel_seed, sample_episodes(
+                scenario, params.t_e_train, scenario.horizon, make_rng(channel_seed)))
+            fitness_fn = functools.partial(_worker_eval, channel_seed=channel_seed)
 
-        if scored.fitness[0] > best_fitness:
-            best_fitness = float(scored.fitness[0])
-            best_values = scored.weights[0].copy()
-        history.append({"generation": gen, "best_fitness": float(scored.fitness[0]),
-                        "mean_fitness": float(scored.fitness.mean()),
-                        "wall_time": elapsed})
-        if out_path is not None:
-            save_genome(out_path / "checkpoints" / f"gen_{gen:04d}.genome",
-                        best_values, *cfgs)
+            # breeding keeps the sorted elite in row 0 of the shared matrix
+            scored = pop
+            if gen + 1 < params.generations:
+                pop = evolve_generation(pop, fitness_fn, params, evo_rng, map_fn=map_fn)
+            else:
+                evaluate_population(pop, fitness_fn, map_fn)
+            elapsed = time.perf_counter() - t0
+
+            if scored.fitness[0] > best_fitness:
+                best_fitness = float(scored.fitness[0])
+                best_values = scored.weights[0].copy()
+            history.append({"generation": gen, "best_fitness": float(scored.fitness[0]),
+                            "mean_fitness": float(scored.fitness.mean()),
+                            "wall_time": elapsed})
+            if out_path is not None:
+                save_genome(out_path / "checkpoints" / f"gen_{gen:04d}.genome",
+                            best_values, *cfgs)
 
     if out_path is not None:
         with open(out_path / "history.csv", "w", newline="", encoding="utf-8") as fh:

@@ -475,12 +475,20 @@ def config_signature(*cfgs) -> bytes:
     return hashlib.sha256(payload.encode("utf-8")).digest()[:8]
 
 
+def _require_finite(path, w: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        raise ValueError(f"{path}: genome weight {bad[0]} is {w[bad[0]]}, not finite")
+
+
 def save_genome(path, w: np.ndarray, *cfgs) -> None:
-    """Write a flat genome with a header binding it to its config(s)."""
+    """Write a flat genome with a header binding it to its config(s); a
+    non-finite weight is refused before the file is opened."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     expected = sum(c.genome_size for c in cfgs)
     if w.size != expected:
         raise ValueError(f"genome has {w.size} values, configs need {expected}")
+    _require_finite(path, w)
     with open(path, "wb") as fh:
         fh.write(_GENOME_MAGIC)
         fh.write(struct.pack("<I", _GENOME_VERSION))
@@ -508,7 +516,5 @@ def load_genome(path, *cfgs) -> np.ndarray:
     if m != expected:
         raise ValueError(f"{path}: genome length {m} does not match configured size {expected}")
     w = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(w))
-    if bad.size:
-        raise ValueError(f"{path}: genome weight {bad[0]} is {w[bad[0]]}, not finite")
+    _require_finite(path, w)
     return w

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line front end."""
 
+import struct
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -128,13 +129,15 @@ def test_dead_fitness_worker_is_one_error_line(config_path, tmp_path, monkeypatc
 
 def test_eval_non_finite_genome_is_one_error_line(config_path, tmp_path, capsys):
     from evoris.harness import load_config
-    from evoris.policy import save_genome
+    from evoris.policy import config_signature
 
     arch = load_config(config_path).arch
     w = np.zeros(arch.genome_size)
     w[[5, 9]] = [np.nan, np.inf]
     path = tmp_path / "nan.genome"
-    save_genome(path, w, arch)
+    # save_genome refuses this payload, so the file's bytes are written here
+    path.write_bytes(b"EVGENOM1" + struct.pack("<I", 1) + config_signature(arch)
+                     + struct.pack("<Q", w.size) + w.astype("<f8").tobytes())
     rc = main(["eval", "--config", str(config_path), "--policy", "attention",
                "--genome", str(path)])
     assert rc == 1

@@ -7,8 +7,12 @@ evaluator; the permutation probability is checked against its closed form.
 
 import functools
 import math
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +24,13 @@ from evoris.cosyne import (EvoParams, Population, _genome_policy_rng,
                            evaluate_population, evolve_generation,
                            init_population, mutate,
                            permutation_probabilities, resolve_workers, train)
+from evoris.harness import load_config, trained_policy_configs
 from evoris.multiris import AggregatorConfig, evaluate_fitness_multi
 from evoris.numerics import derive_seed, make_rng
 from evoris.policy import ArchConfig, forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
 
+ROOT = Path(__file__).resolve().parent.parent
 SCN = ScenarioConfig(n_tx=2, n_ris=4, kappa_h2_db=10.0, kappa_h_db=10.0,
                      horizon=3, episodes=2)
 ARCH = ArchConfig(n_tx=2, n_ris=4, codebook_size=2)
@@ -529,6 +535,116 @@ def test_train_parallel_matches_serial():
     assert np.array_equal(serial.best_genome, parallel.best_genome)
     assert [r["best_fitness"] for r in serial.history] == \
         [r["best_fitness"] for r in parallel.history]
+
+
+# -- the fitness process pool ---------------------------------------------------
+
+def _counting_pool(monkeypatch, **extra):
+    """Patch cosyne.ProcessPoolExecutor with a subclass that counts its
+    constructions (and passes ``extra`` to the executor); returns the count."""
+    made = []
+
+    class CountingPool(cosyne.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs, **extra)
+
+    monkeypatch.setattr(cosyne, "ProcessPoolExecutor", CountingPool)
+    return made
+
+
+def _assert_same_run(serial, pooled):
+    assert [(r["best_fitness"], r["mean_fitness"]) for r in serial.history] == \
+        [(r["best_fitness"], r["mean_fitness"]) for r in pooled.history]
+    assert serial.best_genome.tobytes() == pooled.best_genome.tobytes()
+
+
+@pytest.mark.parametrize("generations", [3, 0])
+def test_train_opens_one_pool_per_run(monkeypatch, generations):
+    made = _counting_pool(monkeypatch)
+    params = tiny_params(generations=generations)
+    train(SCN, ARCH, params, seed=106, workers=1)
+    assert made == []
+    result = train(SCN, ARCH, params, seed=106, workers=2)
+    assert len(made) == 1
+    assert len(result.history) == max(1, generations)
+    assert multiprocessing.active_children() == []
+
+
+def test_train_worker_death_raises_and_leaves_no_process(monkeypatch):
+    def die(*_args, **_kwargs):
+        os._exit(1)
+
+    monkeypatch.setattr(cosyne, "_genome_policy_rng", die)
+    with pytest.raises(BrokenProcessPool):
+        train(SCN, ARCH, tiny_params(), seed=107, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_train_failing_first_generation_starts_no_process(monkeypatch):
+    class FirstGeneration(Exception):
+        pass
+
+    def first_generation(*_args, **_kwargs):
+        raise FirstGeneration
+
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    made = _counting_pool(monkeypatch)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting_start)
+    monkeypatch.setattr(cosyne, "sample_episodes", first_generation)
+    with pytest.raises(FirstGeneration):
+        train(SCN, ARCH, tiny_params(), seed=108, workers=2)
+    assert len(made) == 1
+    assert started == []
+    assert multiprocessing.active_children() == []
+
+
+def test_train_pooled_matches_serial_multi_surface():
+    cfg = load_config(ROOT / "configs" / "multi_ris_desk.yaml")
+    scenario = replace(cfg.scenario, horizon=4)
+    arch, agg = trained_policy_configs(cfg)
+    params = replace(cfg.evo, l_pop=8, generations=3, t_e_train=1)
+    serial = train(scenario, arch, params, seed=109, agg_cfg=agg, workers=1)
+    pooled = train(scenario, arch, params, seed=109, agg_cfg=agg, workers=2)
+    _assert_same_run(serial, pooled)
+
+
+def test_train_pooled_matches_serial_frozen_episodes(monkeypatch, tmp_path):
+    params = tiny_params(generations=4, frozen_episodes=True)
+    serial = train(SCN, ARCH, params, seed=110, workers=1)
+    log = tmp_path / "samples"
+    sample = cosyne.sample_episodes
+
+    def logged_sample(*args, **kwargs):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(cosyne, "sample_episodes", logged_sample)
+    _assert_same_run(serial, train(SCN, ARCH, params, seed=110, workers=2))
+    calls = log.read_text(encoding="ascii").split()
+    # the parent samples at every generation; a worker samples the frozen
+    # block at its first job and reuses it for every later generation
+    assert calls.count(str(os.getpid())) == 4
+    workers = [pid for pid in calls if pid != str(os.getpid())]
+    assert 1 <= len(workers) == len(set(workers)) <= 2
+
+
+def test_train_pooled_matches_serial_under_spawn(monkeypatch):
+    made = _counting_pool(monkeypatch,
+                          mp_context=multiprocessing.get_context("spawn"))
+    params = tiny_params(generations=2)
+    serial = train(SCN_K2, ARCH_D, params, seed=111, agg_cfg=AGG_K2, workers=1)
+    pooled = train(SCN_K2, ARCH_D, params, seed=111, agg_cfg=AGG_K2, workers=2)
+    assert len(made) == 1
+    _assert_same_run(serial, pooled)
+    assert multiprocessing.active_children() == []
 
 
 def test_resolve_workers_env(monkeypatch):

@@ -476,6 +476,17 @@ def test_genome_rejects_truncation(tmp_path):
         load_genome(path, TOY)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_genome_refuses_non_finite_and_writes_nothing(tmp_path, bad):
+    w = np.zeros(TOY.genome_size)
+    w[[3, 7]] = bad
+    path = tmp_path / "toy.genome"
+    with pytest.raises(ValueError, match="weight 3 ") as err:
+        save_genome(path, w, TOY)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+
 def test_config_signature_orders_and_distinguishes():
     a = config_signature(TOY)
     b = config_signature(ArchConfig(n_tx=2, n_ris=4, codebook_size=2))

@@ -6,7 +6,8 @@ Trains and evaluates, into a temporary directory that is removed afterwards:
 
 - ``attention`` on ``configs/single_ris_desk.yaml``, 6 generations;
 - ``attention`` on ``configs/multi_ris_desk.yaml``, 6 generations;
-- ``ff`` on ``configs/single_ris_desk.yaml``, 2 generations, ``l_pop`` 8.
+- ``ff`` on ``configs/single_ris_desk.yaml``, 2 generations, ``l_pop`` 8;
+- the ``multi_ris_desk.yaml`` run again with 2 fitness worker processes.
 
 and prints one line per artifact: the run, the artifact and the SHA-256 of
 its bytes (``metrics.csv``, ``best.genome``, and the ``generation``,
@@ -20,8 +21,10 @@ evaluation episodes, taken one block at a time through the one-block decision
 path: ``policy.forward`` for a single surface, ``multiris.agent_act`` per
 surface plus ``multiris.aggregate_precoder`` for several.  Each block
 contributes its phases as little-endian float64 and its precoder index as a
-little-endian int64.  Two checkouts that print the same lines train,
-evaluate and decide bit for bit alike.  The library is imported from this
+little-endian int64.  Every run but the last scores fitness in one
+process; the last run's digests must equal those of the same run in one
+process, and the tool exits with status 1 when they do not.  Two checkouts
+that print the same lines train, evaluate and decide bit for bit alike.  The library is imported from this
 checkout's ``src/``, with BLAS pinned to one thread.
 """
 
@@ -38,15 +41,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (run name, config, policy, evo overrides)
+# (run name, config, policy, evo overrides, fitness workers)
 RUNS = (
     ("attention-single_desk", "configs/single_ris_desk.yaml", "attention",
-     {"generations": 6}),
+     {"generations": 6}, 1),
     ("attention-multi_desk", "configs/multi_ris_desk.yaml", "attention",
-     {"generations": 6}),
+     {"generations": 6}, 1),
     ("ff-single_desk", "configs/single_ris_desk.yaml", "ff",
-     {"generations": 2, "l_pop": 8}),
+     {"generations": 2, "l_pop": 8}, 1),
+    ("attention-multi_desk-workers2", "configs/multi_ris_desk.yaml", "attention",
+     {"generations": 6}, 2),
 )
+# the pooled run and the one-process run whose digests it must repeat
+POOLED, SERIAL = "attention-multi_desk-workers2", "attention-multi_desk"
 HISTORY_COLUMNS = ("generation", "best_fitness", "mean_fitness")
 GENOME_HEADER_BYTES = 28
 
@@ -97,14 +104,14 @@ def decisions_digest(cfg, genome_path: Path) -> str:
     return digest.hexdigest()
 
 
-def run_digests(harness, name, config, policy, evo, tmp: Path) -> list[str]:
+def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[str]:
     out = tmp / name
     mapping = harness.config_to_mapping(harness.load_config(ROOT / config))
     mapping["policy"] = policy
     mapping["out_dir"] = str(out)
     mapping["evo"].update(evo)
     cfg = harness.config_from_mapping(mapping)
-    harness.run_experiment(cfg, workers=1)
+    harness.run_experiment(cfg, workers=workers)
     genome_path = out / "train" / "best.genome"
     genome = genome_path.read_bytes()
     lines = [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
@@ -124,10 +131,16 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from evoris import harness
 
+    digests = {}
     with tempfile.TemporaryDirectory(prefix="evoris-exactness-") as tmp:
-        for name, config, policy, evo in RUNS:
-            for line in run_digests(harness, name, config, policy, evo, Path(tmp)):
+        for name, config, policy, evo, workers in RUNS:
+            lines = run_digests(harness, name, config, policy, evo, workers, Path(tmp))
+            digests[name] = [line.split(" ", 1)[1] for line in lines]
+            for line in lines:
                 print(line, flush=True)
+    if digests[POOLED] != digests[SERIAL]:
+        print(f"{POOLED} differs from {SERIAL}", file=sys.stderr)
+        return 1
     return 0
 
 
