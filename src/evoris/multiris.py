@@ -126,15 +126,19 @@ def split_joint_genome(values: np.ndarray, arch: ArchConfig,
 
 # Working-set budget of one batched policy pass in ``rollout``.  Steps go
 # through the network in chunks whose largest per-step arrays (attention
-# scores and im2col matrix) fit in it.  A desk-scale step (n_ris=16, ~94 kB)
-# runs 5 to a chunk: larger chunks measured no faster per step and raise
-# peak memory by the chunk's size.  A paper-scale step (400x400 scores,
-# 7.8 MB im2col) runs alone, where batching measured slower per step.
+# scores and the per-tap products of a conv layer) fit in it.  A desk-scale
+# step (n_ris=16, ~94 kB) runs 5 to a chunk: larger chunks measured no faster
+# per step and raise peak memory by the chunk's size.  A paper-scale step
+# (400x400 scores, 8.3 MB of per-tap products) runs alone, where batching
+# measured slower per step.
 STEP_CHUNK_BYTES = 512 << 10
 
 
 def _step_bytes(arch: ArchConfig) -> int:
-    """Bytes of the largest per-step arrays of a batched policy pass."""
+    """Bytes of the largest per-step arrays of a batched policy pass: the
+    attention scores, and the k k C (n_ris, d_cat) per-tap products that
+    ``conv2d_same`` sums for its widest layer (it also computes, and drops,
+    k - 1 pad columns per row)."""
     return 8 * (arch.n_ris * arch.n_ris +
                 arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
 

@@ -4,6 +4,11 @@ Derived cases compare against independent straight-loop or closed-form
 reference implementations written inline, never against the kernel itself.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -155,6 +160,68 @@ def test_conv2d_same_stacked_steps_equal_single_calls():
     assert out.shape == (4, 2, 6, 5)
     for i in range(4):
         assert np.array_equal(out[i], conv2d_same(inp[i], kernels, bias))
+
+
+# (B or None, C_in, C_out, k, H, W): several input channels, one output channel,
+# k in {1, 3, 5}, non-square maps and stacked steps
+ORACLE_CASES = [(None, 3, 2, 3, 5, 7), (None, 8, 1, 3, 9, 4), (2, 2, 3, 5, 6, 8),
+                (3, 4, 1, 1, 4, 6), (2, 1, 3, 5, 7, 3), (None, 8, 8, 3, 16, 10)]
+
+
+@pytest.mark.parametrize("b,c_in,c_out,k,h,w", ORACLE_CASES)
+def test_conv2d_same_multi_channel_matches_loop_oracle(b, c_in, c_out, k, h, w):
+    rng = make_rng(10)
+    inp = rng.standard_normal((c_in, h, w) if b is None else (b, c_in, h, w))
+    kernels = rng.standard_normal((c_out, c_in, k, k))
+    bias = rng.standard_normal(c_out)
+    out = conv2d_same(inp, kernels, bias)
+    steps = [inp] if b is None else list(inp)
+    ref = np.stack([_conv2d_loops(x, kernels, bias) for x in steps])
+    assert out.shape == inp.shape[:-3] + (c_out, h, w)
+    assert np.max(np.abs(out.reshape(ref.shape) - ref)) < 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+# The three layers of the paper-scale network (configs/single_ris.yaml: a
+# 400 x 34 map, channels 1 -> 8 -> 8 -> 1, 3 x 3 kernels)
+PAPER_CONVS = [(1, 8), (8, 8), (8, 1)]
+
+
+@pytest.mark.parametrize("c_in,c_out", PAPER_CONVS)
+def test_conv2d_same_stacked_steps_equal_single_calls_at_paper_shape(c_in, c_out):
+    rng = make_rng(11)
+    inp = rng.standard_normal((3, c_in, 400, 34))
+    kernels = rng.standard_normal((c_out, c_in, 3, 3))
+    bias = rng.standard_normal(c_out)
+    out = conv2d_same(inp, kernels, bias)
+    for i in range(3):
+        assert np.array_equal(out[i], conv2d_same(inp[i], kernels, bias))
+
+
+CONV_DIGEST_SCRIPT = """
+import hashlib
+from evoris.numerics import conv2d_same, make_rng
+rng = make_rng(12)
+for c_in, c_out in {convs!r}:
+    out = conv2d_same(rng.standard_normal((c_in, 400, 34)),
+                      rng.standard_normal((c_out, c_in, 3, 3)), rng.standard_normal(c_out))
+    print(hashlib.sha256(out.astype("<f8").tobytes()).hexdigest())
+"""
+
+
+def test_conv2d_same_bits_do_not_depend_on_blas_threads():
+    root = Path(__file__).resolve().parent.parent
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c",
+                               CONV_DIGEST_SCRIPT.format(convs=PAPER_CONVS)],
+                              env=env, capture_output=True, text=True, timeout=120,
+                              check=True)
+        digests[threads] = done.stdout.split()
+    assert len(digests["1"]) == len(PAPER_CONVS)
+    assert digests["1"] == digests["2"]
 
 
 def test_conv2d_same_rejects_even_kernel():

@@ -503,15 +503,17 @@ def test_config_signature_orders_and_distinguishes():
 # attention was computed once per rollout: probs as ``float.hex``, phases as the
 # SHA-256 of their little-endian float64 bytes (all +1 but element 398; the raw
 # paper-scale channels are small, so the global softmaxes are near uniform and
-# every element sees almost the same features).  Exact equality pins the
-# arithmetic, so another NumPy or BLAS build may need the values recorded again.
+# every element sees almost the same features).  The probs were recorded again
+# when ``conv2d_same`` moved to per-tap products, which changed their last bits
+# and nothing else.  Exact equality pins the arithmetic, so another NumPy or
+# BLAS build may need the values recorded again.
 PAPER_PROBS = (
-    "0x1.2d939a058d306p-6", "0x1.3c0014fe791afp-7", "0x1.c7636f137cb47p-7",
-    "0x1.58d0381a8fa6fp-7", "0x1.9d6031fec41cdp-4", "0x1.4607259135d69p-6",
-    "0x1.a6ae9ce5ca9fep-8", "0x1.db71028f88003p-3", "0x1.8e645b60772f0p-6",
-    "0x1.d87213c529cbfp-3", "0x1.35f3ae2d4a9cep-4", "0x1.6007f3f9cd9d9p-5",
-    "0x1.17d29049f5d26p-5", "0x1.11c87125a57f8p-4", "0x1.24caa3478ca03p-4",
-    "0x1.57e8e9137be07p-5")
+    "0x1.2d939a058d341p-6", "0x1.3c0014fe791eep-7", "0x1.c7636f137cb7ap-7",
+    "0x1.58d0381a8fa7fp-7", "0x1.9d6031fec41c9p-4", "0x1.4607259135d79p-6",
+    "0x1.a6ae9ce5caa43p-8", "0x1.db71028f87fe2p-3", "0x1.8e645b60772ffp-6",
+    "0x1.d87213c529ca5p-3", "0x1.35f3ae2d4a9f5p-4", "0x1.6007f3f9cd9cep-5",
+    "0x1.17d29049f5d43p-5", "0x1.11c87125a57fap-4", "0x1.24caa3478ca14p-4",
+    "0x1.57e8e9137be20p-5")
 PAPER_PHASES_SHA256 = "2ab8892011f00d2971d15dc374ee261cc615f045431c6aa0d08d29a4698b1cc9"
 
 

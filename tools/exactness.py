@@ -23,9 +23,18 @@ surface plus ``multiris.aggregate_precoder`` for several.  Each block
 contributes its phases as little-endian float64 and its precoder index as a
 little-endian int64.  Every run but the last scores fitness in one
 process; the last run's digests must equal those of the same run in one
-process, and the tool exits with status 1 when they do not.  Two checkouts
-that print the same lines train, evaluate and decide bit for bit alike.  The library is imported from this
-checkout's ``src/``, with BLAS pinned to one thread.
+process, and the tool exits with status 1 when they do not.
+
+The desk runs cannot see a change of bits that only paper shapes reach, so two
+``paper-single`` lines follow: a seeded genome (``make_rng(seed)``, scaled by
+0.2) decides on 8 blocks of ``configs/single_ris.yaml``, one episode drawn
+from the config's evaluation channel stream, through ``policy.forward`` in
+argmax mode, one block at a time.  The ``decisions`` line digests its phases
+and precoder indices as above, and the ``precoder_probs`` line the
+little-endian float64 bytes of every block's precoder probabilities.  Two
+checkouts that print the same lines train, evaluate and decide bit for bit
+alike.  The library is imported from this checkout's ``src/``, with BLAS
+pinned to one thread.
 """
 
 from __future__ import annotations
@@ -56,6 +65,8 @@ RUNS = (
 POOLED, SERIAL = "attention-multi_desk-workers2", "attention-multi_desk"
 HISTORY_COLUMNS = ("generation", "best_fitness", "mean_fitness")
 GENOME_HEADER_BYTES = 28
+# the paper-scale decision line: config, blocks and genome scale
+PAPER_CONFIG, PAPER_BLOCKS, PAPER_GENOME_SCALE = "configs/single_ris.yaml", 8, 0.2
 
 
 def sha256(data: bytes) -> str:
@@ -72,9 +83,16 @@ def history_digest(path: Path) -> str:
     return sha256(out.getvalue().encode("utf-8"))
 
 
+def update_decision(digest, phase_list, idx) -> None:
+    """Feed one block's phases (little-endian float64) and index (int64) to ``digest``."""
+    import numpy as np
+    for phases in phase_list:
+        digest.update(np.asarray(phases, dtype="<f8").tobytes())
+    digest.update(struct.pack("<q", int(idx)))
+
+
 def decisions_digest(cfg, genome_path: Path) -> str:
     """SHA-256 of the one-block argmax decisions over the evaluation episodes."""
-    import numpy as np
     from evoris import harness, multiris, policy
     from evoris.channel import sample_episodes
     from evoris.numerics import derive_rng
@@ -98,10 +116,29 @@ def decisions_digest(cfg, genome_path: Path) -> str:
             idx, _ = multiris.aggregate_precoder(g5, agg_cfg, [v for _, v in acts],
                                                  None, "argmax")
             phase_list = [phases for phases, _ in acts]
-        for phases in phase_list:
-            digest.update(np.asarray(phases, dtype="<f8").tobytes())
-        digest.update(struct.pack("<q", int(idx)))
+        update_decision(digest, phase_list, idx)
     return digest.hexdigest()
+
+
+def paper_digests(harness) -> list[str]:
+    """The ``paper-single`` decisions and precoder-probability lines."""
+    import numpy as np
+    from evoris import policy
+    from evoris.channel import sample_episodes
+    from evoris.numerics import derive_rng, make_rng
+
+    cfg = harness.load_config(ROOT / PAPER_CONFIG)
+    arch, _ = harness.trained_policy_configs(cfg)
+    w = make_rng(cfg.seed).standard_normal(arch.genome_size) * PAPER_GENOME_SCALE
+    blocks, = sample_episodes(cfg.scenario, 1, PAPER_BLOCKS,
+                              derive_rng(cfg.seed, "eval", "channels"))
+    decisions, probs = hashlib.sha256(), hashlib.sha256()
+    for cs in blocks:
+        out = policy.forward(w, arch, cs.h, cs.h1_list[0], cs.h2_list[0], mode="argmax")
+        update_decision(decisions, [out.phases], out.precoder_index)
+        probs.update(np.asarray(out.precoder_probs, dtype="<f8").tobytes())
+    return [f"paper-single decisions {decisions.hexdigest()}",
+            f"paper-single precoder_probs {probs.hexdigest()}"]
 
 
 def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[str]:
@@ -138,6 +175,8 @@ def main() -> int:
             digests[name] = [line.split(" ", 1)[1] for line in lines]
             for line in lines:
                 print(line, flush=True)
+    for line in paper_digests(harness):
+        print(line, flush=True)
     if digests[POOLED] != digests[SERIAL]:
         print(f"{POOLED} differs from {SERIAL}", file=sys.stderr)
         return 1
