@@ -326,10 +326,18 @@ def _worker_eval(values, index, channel_seed):
 
 
 def resolve_workers(workers=None) -> int:
-    """Worker count: explicit argument, else EVORIS_WORKERS, else 1."""
+    """Worker count: explicit argument, else EVORIS_WORKERS, else 1.  A count
+    below 1 or a non-integer EVORIS_WORKERS raises ValueError naming its source."""
+    source = "workers"
     if workers is None:
-        workers = int(os.environ.get("EVORIS_WORKERS", "1"))
-    return max(1, workers)
+        source, raw = "EVORIS_WORKERS", os.environ.get("EVORIS_WORKERS", "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"EVORIS_WORKERS: expected an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"{source}: must be >= 1, got {workers}")
+    return workers
 
 
 def train(scenario: ScenarioConfig, policy_cfg, params: EvoParams, seed: int, *,

@@ -19,7 +19,7 @@ import yaml
 from .baselines import LgaParams, exhaustive_oracle, lga_solve, random_baseline
 from .channel import (ChannelSet, ScenarioConfig, sample_episodes,
                       scenario_from_mapping, scenario_to_mapping)
-from .cosyne import EvoParams, train
+from .cosyne import EvoParams, resolve_workers, train
 from .multiris import AggregatorConfig, rollout
 # bench/run.py traces these two names here; trained kinds reach them via rollout
 from .multiris import agent_act, aggregate_precoder  # noqa: F401
@@ -54,6 +54,10 @@ class ExperimentConfig:
         if self.policy not in POLICY_KINDS:
             raise ConfigError(f"policy: unknown kind {self.policy!r}, "
                               f"expected one of {list(POLICY_KINDS)}")
+        for name in ("eval_episodes", "seed", "runs", "oracle_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes: must be >= 1")
         if self.runs < 1:
@@ -297,9 +301,11 @@ def run_experiment(cfg: ExperimentConfig, *, param_name=None, param_value=None,
     resolved config, per-run training history and best genome, metrics.csv
     (or .json) and a run.json sidecar carrying the wall-clock data that is
     deliberately kept out of the metric files.  A trained kind whose
-    population cannot fit in the available memory raises ConfigError before
+    population cannot fit in the available memory raises ConfigError, and a
+    worker count that ``resolve_workers`` refuses raises ValueError, before
     anything is written.
     """
+    workers = resolve_workers(workers)
     if cfg.policy in TRAINED_KINDS:
         _check_population_fits(cfg)
     out_path = None

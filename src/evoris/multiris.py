@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, sample_episodes
 from .numerics import relu, softmax_global
-from .policy import (ArchConfig, FFConfig, GenomeLayout, ff_forward, forward,
-                     forward_steps, genome_layout, select_index, tx_ris_attention)
+from .policy import (ArchConfig, FFConfig, GenomeLayout, _memo_tx_ris_attention,
+                     ff_forward, forward, forward_steps, genome_layout, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
 
 
@@ -143,47 +143,32 @@ def _step_bytes(arch: ArchConfig) -> int:
                 arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
 
 
-def _static_h1(episodes) -> list[np.ndarray] | None:
-    """Every surface's H1 if each step of the block has the same one, else None.
-
-    A step matches when its arrays are the first step's (the shared
-    line-of-sight H1 of ``sample_channel_set``) or equal to them in value
-    (an imported trace).
-    """
-    steps = [cs for episode in episodes for cs in episode]
-    if not steps:
-        return None
-    first = steps[0].h1_list
-    for cs in steps[1:]:
-        if len(cs.h1_list) != len(first) or not all(
-                a is f or np.array_equal(a, f) for a, f in zip(cs.h1_list, first)):
-            return None
-    return first
-
-
 def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, steps,
-                   mode, rng, a_tx_ris):
+                   mode, rng, a_tx_ris: dict):
     """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass.
 
-    ``a_tx_ris`` is the (K, n_ris, 2 n_tx) TX-RIS attention shared by every
-    step, or None to compute it from each step's H1."""
+    ``a_tx_ris`` maps the ``id`` of each H1 array met so far in the block to
+    its TX-RIS attention row; this chunk adds its new arrays in one memo call."""
     if agg_cfg is None and any(cs.ris_count != 1 for cs in steps):
         raise ValueError("the attention policy takes a single-RIS channel view; "
                          "use an aggregator for several surfaces")
     # row i * K + k holds surface k of step i
     h = np.stack([cs.h for cs in steps])
     h2 = np.stack([h2 for cs in steps for h2 in cs.h2_list])
-    h1 = None
-    if a_tx_ris is None:
-        h1 = np.stack([h1 for cs in steps for h1 in cs.h1_list])
-    else:
-        a_tx_ris = np.tile(a_tx_ris, (len(steps), 1, 1))
+    h1s = [h1 for cs in steps for h1 in cs.h1_list]
+    new = list({id(h1): h1 for h1 in h1s if id(h1) not in a_tx_ris}.values())
+    if new:
+        h1 = np.asarray(np.stack(new), dtype=np.complex128)
+        if h1.shape[1:] != (arch.n_tx, arch.n_ris):
+            raise ValueError("channel shapes do not match the architecture")
+        a_tx_ris.update(zip(map(id, new), _memo_tx_ris_attention(g14, arch, h1)))
+    a1 = np.stack([a_tx_ris[id(h1)] for h1 in h1s])
     if agg_cfg is None:
-        phases, idx, _ = forward_steps(g14, arch, h, h1, h2, rng, mode, a_tx_ris=a_tx_ris)
+        phases, idx, _ = forward_steps(g14, arch, h, None, h2, rng, mode, a_tx_ris=a1)
         return phases[:, None], idx
     k = agg_cfg.ris_count
-    phases, votes, _ = forward_steps(g14, arch, np.repeat(h, k, axis=0), h1, h2,
-                                     mode="argmax", a_tx_ris=a_tx_ris)
+    phases, votes, _ = forward_steps(g14, arch, np.repeat(h, k, axis=0), None, h2,
+                                     mode="argmax", a_tx_ris=a1)
     idx, _ = aggregate_precoder(g5, agg_cfg, votes.reshape(-1, k), rng, mode)
     return phases.reshape(len(steps), k, -1), idx
 
@@ -200,12 +185,13 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     ``forward_steps`` a chunk of ``STEP_CHUNK_BYTES`` at a time; phases,
     picks and gammas are bit-identical to calling ``forward`` (or
     ``agent_act`` plus ``aggregate_precoder``) and ``snr`` step by step.
-    When every step of the block has the same H1 (a line-of-sight TX-RIS
-    link), its TX-RIS attention is computed once per surface for the whole
-    block.  Sampling draws one uniform per step from ``policy_rng`` with one
-    call per chunk, in step order, which leaves the stream where per-step
-    draws would; argmax draws nothing.  The fully-connected policy runs
-    ``ff_forward`` step by step.
+    Each H1 array's TX-RIS attention comes from the memo ``forward`` uses, in
+    the first chunk that meets it: a line-of-sight H1 (shared, or equal copies
+    in an imported trace) is attended once per surface and genome, a Ricean
+    H1 once per step.  Sampling draws one uniform per step from
+    ``policy_rng`` with one call per chunk, in step order, which leaves the
+    stream where per-step draws would; argmax draws nothing.  The
+    fully-connected policy runs ``ff_forward`` step by step.
     """
     codebook = evaluation_codebook(scenario, policy_cfg.codebook_size)
     budget = link_budget_from(scenario)
@@ -229,11 +215,7 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
         raise ValueError("aggregator ris_count must match the scenario")
     k = 1 if agg_cfg is None else agg_cfg.ris_count
     chunk = max(1, STEP_CHUNK_BYTES // (k * _step_bytes(policy_cfg)))
-    a_tx_ris = None
-    static_h1 = _static_h1(episodes)
-    if static_h1 is not None:
-        a_tx_ris = tx_ris_attention(g14, policy_cfg,
-                                    np.asarray(np.stack(static_h1), dtype=np.complex128))
+    a_tx_ris = {}
     for episode in episodes:
         g = np.empty(len(episode))
         for s in range(0, len(episode), chunk):

@@ -323,10 +323,10 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
     ``forward`` on that step alone.  Sampling draws one uniform per step
     from ``rng``, in step order.
 
-    ``a_tx_ris`` is an optional precomputed ``tx_ris_attention`` output
-    (B, n_ris, 2 n_tx); when given, ``h1`` is not read and may be None.
-    ``attention_steps`` gives each step the bits of a lone call, so a result
-    computed once for an H1 shared by several steps is exact for each.
+    The TX-RIS attention comes from ``_memo_tx_ris_attention``, unless
+    ``a_tx_ris`` gives it (B, n_ris, 2 n_tx); then ``h1`` may be None.  Either
+    way each step has the bits of a fresh ``tx_ris_attention`` of its H1,
+    since ``attention_steps`` gives each step the bits of a lone call.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     layout = genome_layout(arch)
@@ -341,7 +341,7 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
         h1 = np.asarray(h1, dtype=np.complex128)
         if h1.shape != (b, arch.n_tx, arch.n_ris):
             raise ValueError("channel shapes do not match the architecture")
-        a1 = tx_ris_attention(w, arch, h1)
+        a1 = _memo_tx_ris_attention(w, arch, h1)
     else:
         a1 = np.asarray(a_tx_ris, dtype=np.float64)
         if a1.shape != (b, arch.n_ris, 2 * arch.n_tx):
@@ -365,46 +365,54 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
     return phase_head(feat, w, arch), idx, probs
 
 
-# The TX-RIS attention outputs ``forward`` has computed, as ((weights bytes,
-# H1 bytes, arch), output) pairs, most recent first.  A line-of-sight H1 is one
-# array shared by every block of a scenario, so one entry per surface and
-# genome serves every later decision.  The bound is the largest shipped
-# ``ris_count`` (multi_ris_k4.yaml); a paper-scale entry holds ~230 kB.  The
-# list is changed in place, never rebound.
+# The TX-RIS attention rows computed so far, as ((weights bytes, H1 bytes,
+# arch), row) pairs, most recent first.  A line-of-sight H1 is one array shared
+# by every block of a scenario, so one entry per surface and genome serves every
+# later pass.  The bound is the largest shipped ``ris_count`` (multi_ris_k4.yaml);
+# a paper-scale entry holds ~230 kB, plus the rest of the read-only output its
+# row is a view of (at most a rollout chunk).  Changed in place, never rebound.
 _TX_RIS_MEMO_ENTRIES = 4
 _tx_ris_memo: list = []
 
 
-def _memo_tx_ris_attention(w, arch: ArchConfig, h1):
-    """``tx_ris_attention`` of one H1 (n_tx, n_ris), stored read-only in the memo.
+def _memo_tx_ris_attention(w, arch: ArchConfig, h1: np.ndarray) -> np.ndarray:
+    """``tx_ris_attention`` (B, n_ris, 2 n_tx) of a float64 genome and a complex128
+    H1 stack (B, n_tx, n_ris) that fit ``arch``, served from the memo.
 
-    The key holds the bits of the TX-RIS weights and of H1, so an entry answers
-    only the inputs it was computed from, even if the caller's arrays change in
-    place later, and a hit returns the bits a fresh call would give.  Returns
-    None for a genome or H1 that does not fit ``arch`` or that the attention
-    rejects (a non-finite weight); ``forward_steps`` then checks every input in
-    its usual order and raises its usual error.
+    The key holds the bits of the TX-RIS weights and of one H1, so an entry
+    answers only the inputs it was computed from, even if the caller's arrays
+    change in place later, and a hit returns the bits a fresh call would give.
+    A hit moves to the front; the distinct misses, computed in one call whose
+    steps each have the bits of a lone call, enter there, the last one first.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    h1 = np.asarray(h1, dtype=np.complex128)
-    layout = genome_layout(arch)
-    if w.size != layout.size or h1.shape != (arch.n_tx, arch.n_ris):
-        return None
-    key = (b"".join(layout.view(w, f"attn_tx_ris.{n}").tobytes() for n in ("wq", "wk", "wv")),
-           h1.tobytes(), arch)
-    for i, entry in enumerate(_tx_ris_memo):
-        if entry[0] == key:
-            if i:
-                _tx_ris_memo.insert(0, _tx_ris_memo.pop(i))
-            return entry[1]
-    try:
-        out = tx_ris_attention(w, arch, h1[None])
-    except ValueError:
-        return None
-    out.flags.writeable = False
-    _tx_ris_memo.insert(0, (key, out))
-    del _tx_ris_memo[_TX_RIS_MEMO_ENTRIES:]
-    return out
+    start = genome_layout(arch).segments["attn_tx_ris.wq"][0]  # wk and wv follow wq
+    weights = w[start:start + 3 * (2 * arch.n_tx) ** 2].tobytes()
+    blob = h1.tobytes()
+    size = len(blob) // len(h1)
+    keys = [(weights, blob[i:i + size], arch) for i in range(0, len(blob), size)]
+    rows = []
+    for key in keys:
+        for i, entry in enumerate(_tx_ris_memo):
+            if entry[0] == key:
+                if i:
+                    _tx_ris_memo.insert(0, _tx_ris_memo.pop(i))
+                rows.append(entry[1])
+                break
+        else:
+            rows.append(None)
+    missed = [i for i, key in enumerate(keys) if rows[i] is None and keys.index(key) == i]
+    if missed:
+        every = len(missed) == len(keys)  # every row new and distinct, as Ricean H1s are
+        out = tx_ris_attention(w, arch, h1 if every else h1[missed])
+        out.flags.writeable = False
+        for i, row in zip(missed, out):
+            rows[i] = row
+            _tx_ris_memo.insert(0, (keys[i], row))
+        del _tx_ris_memo[_TX_RIS_MEMO_ENTRIES:]
+        if every:
+            return out
+        rows = [rows[keys.index(key)] for key in keys]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
@@ -414,17 +422,11 @@ def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
     Channels come in complex (h (n_tx,), h1 (n_tx, n_ris), h2 (n_ris,));
     real/imag stacking happens internally.  ``mode`` controls the precoder
     pick: "sample" draws from the softmax, "argmax" is deterministic.  This
-    is the one-step case of ``forward_steps``.
-
-    The TX-RIS attention comes from a small memo keyed by the bits of the
-    TX-RIS weights and of H1, so the line-of-sight H1 every block of a
-    scenario shares is attended once per genome; results are bit-identical
-    either way.
+    is the one-step case of ``forward_steps``, memo included.
     """
     phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
                                        np.asarray(h1)[None], np.asarray(h2)[None],
-                                       rng, mode,
-                                       a_tx_ris=_memo_tx_ris_attention(w, arch, h1))
+                                       rng, mode)
     return PolicyOutput(phases=phases[0], precoder_index=int(idx[0]),
                         precoder_probs=probs[0])
 

@@ -5,6 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+import yaml
 
 from evoris import cli
 from evoris.channel import sample_episodes
@@ -147,3 +148,54 @@ def test_eval_non_finite_genome_is_one_error_line(config_path, tmp_path, capsys)
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert str(path) in lines[0] and "weight 5 " in lines[0]
+
+
+def one_error_line(capsys, out):
+    """The captured run printed nothing but one ``error:`` line and wrote nothing."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+    return lines[0]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("eval_episodes", "many"), ("runs", 2.5), ("seed", "abc"), ("oracle_cap", "big"),
+    ("runs", True),
+])
+def test_non_integer_top_level_scalar_is_one_error_line(config_path, tmp_path, capsys,
+                                                        field, value):
+    data = yaml.safe_load(config_path.read_text())
+    data[field] = value
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(config_path), "--out", str(out),
+               "--policy", "attention"])
+    assert rc == 1
+    line = one_error_line(capsys, out)
+    assert line.startswith(f"error: {field}: expected an integer, got {value!r}")
+
+
+@pytest.mark.parametrize("env,flag,source", [
+    ("two", None, "EVORIS_WORKERS: expected an integer, got 'two'"),
+    ("0", None, "EVORIS_WORKERS: must be >= 1, got 0"),
+    (None, "0", "workers: must be >= 1, got 0"),
+    ("4", "-5", "workers: must be >= 1, got -5"),
+])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_bad_worker_count_is_one_error_line(config_path, tmp_path, monkeypatch, capsys,
+                                            command, env, flag, source):
+    # the count is refused before a run starts, so no worker process is made
+    monkeypatch.delenv("EVORIS_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("EVORIS_WORKERS", env)
+    out = tmp_path / "run"
+    argv = [command, "--config", str(config_path), "--out", str(out),
+            "--policy", "attention"]
+    if flag is not None:
+        argv += ["--workers", flag]
+    if command == "sweep":
+        argv += ["--param", "scenario.tx_power_dbm", "--values", "10"]
+    assert main(argv) == 1
+    assert one_error_line(capsys, out) == f"error: {source}"

@@ -655,6 +655,21 @@ def test_resolve_workers_env(monkeypatch):
     assert resolve_workers(None) == 4
 
 
+@pytest.mark.parametrize("workers,env,message", [
+    (0, None, "workers: must be >= 1, got 0"),
+    (-5, "2", "workers: must be >= 1, got -5"),
+    (None, "-5", "EVORIS_WORKERS: must be >= 1, got -5"),
+    (None, "two", "EVORIS_WORKERS: expected an integer, got 'two'"),
+    (None, "1.5", "EVORIS_WORKERS: expected an integer, got '1.5'"),
+])
+def test_resolve_workers_refuses_bad_counts(monkeypatch, workers, env, message):
+    monkeypatch.delenv("EVORIS_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("EVORIS_WORKERS", env)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolve_workers(workers)
+
+
 def test_evo_params_validation():
     with pytest.raises(ValueError):
         EvoParams(l_pop=3)

@@ -535,9 +535,9 @@ def test_paper_shape_forward_matches_recorded_values():
 
 
 # -- the TX-RIS attention memo of ``forward`` -----------------------------------
-# Every case compares ``forward`` (which consults the memo)
-# bit for bit with ``forward_steps`` computing the attention itself, and the
-# sampling streams they leave behind.
+# Every case compares ``forward`` (which consults the memo) bit for bit with
+# ``forward_steps`` given a freshly computed attention, and the sampling
+# streams they leave behind.
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -552,9 +552,11 @@ def config_policy(name, kappa_h1_db=None):
 
 
 def reference_forward(w, arch, h, h1, h2, rng, mode):
-    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
-                                       np.array(h1)[None], np.asarray(h2)[None],
-                                       rng, mode)
+    """``forward_steps`` on one step with a fresh TX-RIS attention, never the memo's."""
+    h1 = np.array(h1)[None]
+    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None], h1,
+                                       np.asarray(h2)[None], rng, mode,
+                                       a_tx_ris=policy_module.tx_ris_attention(w, arch, h1))
     return phases[0], int(idx[0]), probs[0]
 
 

@@ -7,6 +7,7 @@ fitness, and that the sampling stream ends where per-step draws leave it.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ import pytest
 from evoris import multiris, policy
 from evoris.channel import ChannelSet, ScenarioConfig, sample_episodes
 from evoris.cosyne import evaluate_fitness
+from evoris.harness import (export_channel_trace, import_channel_trace, load_config,
+                            trained_policy_configs)
 from evoris.multiris import (AggregatorConfig, agent_act, aggregate_precoder,
                              evaluate_fitness_multi, rollout, split_joint_genome)
 from evoris.numerics import make_rng
@@ -27,6 +30,7 @@ SCN_K2 = ScenarioConfig(n_tx=4, n_ris=8, ris_count=2,
                         ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
                         rx_position=(10.0, 10.0, 5.0), horizon=7, episodes=3)
 AGG_K2 = AggregatorConfig(ris_count=2, codebook_size=4)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # (case, policy config, aggregator config, scenario)
 CASES = [("single", ARCH, None, SCN_K1),
@@ -410,6 +414,8 @@ def test_rollout_tx_ris_attention_once_matches_replay(monkeypatch, case, arch, a
     trace = TRACES[trace_kind](scenario)
     ref_rng, got_rng = make_rng(3), make_rng(3)
     ref = replay(values, arch, agg_cfg, scenario, trace, mode, ref_rng)
+    # the replay's ``forward`` calls fill the memo that the rollout reads too
+    monkeypatch.setattr(policy, "_tx_ris_memo", [])
 
     batches = []
     attention_steps = policy.attention_steps
@@ -453,3 +459,35 @@ def test_rollout_tx_ris_attention_once_matches_replay(monkeypatch, case, arch, a
     assert fitness == total / len(ref)
     assert fitness_rng.bit_generator.state == ref_rng.bit_generator.state
 
+
+
+@pytest.mark.parametrize("name", ["single_ris_desk", "multi_ris_desk"])
+def test_rollout_of_imported_line_of_sight_trace_matches_sampled_block(
+        tmp_path, monkeypatch, name):
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    assert cfg.scenario.kappa_h1_db is None  # one shared line-of-sight H1
+    arch, agg_cfg = trained_policy_configs(cfg)
+    scenario = cfg.scenario
+    sampled = sample_episodes(scenario, 2, 6, make_rng(70))
+    export_channel_trace(tmp_path / "block.trace", sampled)
+    imported = import_channel_trace(tmp_path / "block.trace", scenario)
+    # every step now holds its own H1 arrays, equal in value to the shared ones
+    h1s = [h1 for episode in imported for cs in episode for h1 in cs.h1_list]
+    assert len({id(h1) for h1 in h1s}) == len(h1s) == 12 * scenario.ris_count
+    assert all(np.array_equal(h1, shared)
+               for h1, shared in zip(h1s, sampled[0][0].h1_list * 12))
+    values = genome(arch, agg_cfg, 71)
+    want = rollout(values, arch, agg_cfg, scenario, sampled, "sample", make_rng(72))
+
+    monkeypatch.setattr(policy, "_tx_ris_memo", [])
+    calls = []
+    tx_ris_attention = policy.tx_ris_attention
+
+    def counting(w, arch, h1):
+        calls.append(h1.shape[0])
+        return tx_ris_attention(w, arch, h1)
+
+    monkeypatch.setattr(policy, "tx_ris_attention", counting)
+    got = rollout(values, arch, agg_cfg, scenario, imported, "sample", make_rng(72))
+    assert calls == [scenario.ris_count]  # one call, one H1 per surface
+    assert [g.tobytes() for g in got] == [g.tobytes() for g in want]

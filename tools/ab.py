@@ -1,0 +1,234 @@
+"""In-process A/B of two checkouts: the same inputs through both, alternately.
+
+    python3 tools/ab.py --base DIR [--change DIR] [--rounds 30] [--paper]
+                        [--paths train,eval,decide]
+
+Copies each checkout's ``src/evoris`` into a temporary directory under its own
+package name (``evoris_base``, ``evoris_change``; the package imports itself
+relatively, so each copy runs its own code) and imports both into this
+process.  ``--change`` defaults to this checkout; ``--base`` is typically a
+``git archive`` of the parent commit.  For each of ``configs/single_ris_desk.yaml``
+and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
+``--paper``) it times three paths:
+
+- ``train``: ``multiris.rollout`` in sample mode of a training block
+  (``t_e_train`` episodes of 25 steps) for each of 20 seeded genomes, each
+  with its own seeded policy stream, as training fitness does;
+- ``eval``: ``multiris.rollout`` in argmax mode of the evaluation block
+  (``eval_episodes`` episodes of the config's horizon) for the first genome,
+  as harness evaluation does;
+- ``decide``: one-block argmax decisions of the first genome on the first 200
+  blocks of the evaluation block, through ``policy.forward`` for one surface,
+  or ``multiris.agent_act`` per surface plus ``multiris.aggregate_precoder``.
+
+Round r draws its channel blocks from seed r; each tree samples them with its
+own code.  The two trees run each path back to back, the base first on even
+rounds, and their outputs (gammas; phases, picks and precoder probabilities)
+must be bitwise equal, else the tool stops with status 1.  The first half of
+the rounds runs in a child process that imports the base first, the second
+half in one that imports the change first.  It prints, per config and path,
+the median paired ratio of the change's time over the base's (pooled, and per
+child), the rounds where the change was faster, and the median times.  BLAS
+is pinned to one thread before NumPy is imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DESK_CONFIGS = ("configs/single_ris_desk.yaml", "configs/multi_ris_desk.yaml")
+PAPER_CONFIG = "configs/single_ris.yaml"
+PATHS = ("train", "eval", "decide")
+TRAIN_HORIZON, GENOMES, DECISION_BLOCKS, GENOME_SCALE = 25, 20, 200, 0.3
+
+
+def load_tree(checkout: Path, name: str, tmp: Path):
+    """Import ``checkout``'s ``src/evoris`` as the package ``name``."""
+    src = checkout / "src" / "evoris"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"error: {checkout} has no src/evoris package")
+    shutil.copytree(src, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("harness", "multiris", "policy", "channel")}
+
+
+class Side:
+    """One tree's config objects and timed paths for one config file."""
+
+    def __init__(self, tree, config: Path, genomes):
+        self.tree = tree
+        cfg = tree["harness"].load_config(config)
+        self.cfg = cfg
+        self.arch, self.agg = tree["harness"].trained_policy_configs(cfg)
+        self.genomes = genomes
+
+    def blocks(self, seed: int):
+        """(training block, evaluation block) of round ``seed``."""
+        import numpy as np
+        sample = self.tree["channel"].sample_episodes
+        scn = self.cfg.scenario
+        train_scn = replace(scn, horizon=TRAIN_HORIZON)
+        self.train_block = sample(train_scn, self.cfg.evo.t_e_train, TRAIN_HORIZON,
+                                  np.random.default_rng([seed, 0]))
+        self.train_scn = train_scn
+        self.eval_block = sample(scn, self.cfg.eval_episodes, scn.horizon,
+                                 np.random.default_rng([seed, 1]))
+
+    def train(self, seed: int) -> bytes:
+        import numpy as np
+        rollout = self.tree["multiris"].rollout
+        out = []
+        for i, w in enumerate(self.genomes):
+            gammas = rollout(w, self.arch, self.agg, self.train_scn, self.train_block,
+                             "sample", np.random.default_rng([seed, 2, i]))
+            out += [g.tobytes() for g in gammas]
+        return b"".join(out)
+
+    def eval(self, _seed: int) -> bytes:
+        gammas = self.tree["multiris"].rollout(self.genomes[0], self.arch, self.agg,
+                                               self.cfg.scenario, self.eval_block,
+                                               "argmax")
+        return b"".join(g.tobytes() for g in gammas)
+
+    def decide(self, _seed: int) -> bytes:
+        import numpy as np
+        multiris, policy = self.tree["multiris"], self.tree["policy"]
+        g14, g5 = multiris.split_joint_genome(self.genomes[0], self.arch, self.agg)
+        steps = [cs for episode in self.eval_block for cs in episode][:DECISION_BLOCKS]
+        out = []
+        for cs in steps:
+            if self.agg is None:
+                res = policy.forward(g14, self.arch, cs.h, cs.h1_list[0], cs.h2_list[0],
+                                     mode="argmax")
+                phases, idx, probs = [res.phases], res.precoder_index, res.precoder_probs
+            else:
+                acts = [multiris.agent_act(g14, self.arch, cs.h, h1, h2)
+                        for h1, h2 in zip(cs.h1_list, cs.h2_list)]
+                phases = [ph for ph, _ in acts]
+                idx, probs = multiris.aggregate_precoder(g5, self.agg,
+                                                         [v for _, v in acts],
+                                                         None, "argmax")
+            out += [np.asarray(p).tobytes() for p in phases]
+            out += [np.int64(idx).tobytes(), np.asarray(probs).tobytes()]
+        return b"".join(out)
+
+
+def timed(fn, seed):
+    t0 = time.perf_counter()
+    out = fn(seed)
+    return time.perf_counter() - t0, hashlib.sha256(out).hexdigest()
+
+
+def run_config(config: Path, trees, rounds, paths) -> dict:
+    """Per path, the base's and the change's time in each round of ``rounds``."""
+    import numpy as np
+    probe = trees["change"]["harness"].load_config(config)
+    arch, agg = trees["change"]["harness"].trained_policy_configs(probe)
+    m = arch.genome_size + (agg.genome_size if agg is not None else 0)
+    genomes = np.random.default_rng(7).standard_normal((GENOMES, m)) * GENOME_SCALE
+    sides = {name: Side(tree, config, genomes) for name, tree in trees.items()}
+    times = {path: {"base": [], "change": []} for path in paths}
+    for r in rounds:
+        order = ("base", "change") if r % 2 == 0 else ("change", "base")
+        for name in order:
+            sides[name].blocks(r)
+        for path in paths:
+            digests = {}
+            for name in order:
+                elapsed, digests[name] = timed(getattr(sides[name], path), r)
+                times[path][name].append(elapsed)
+            if digests["base"] != digests["change"]:
+                raise SystemExit(f"error: {config.name} {path}: outputs differ in round {r}")
+    return times
+
+
+def configs_of(args):
+    return list(DESK_CONFIGS) + ([PAPER_CONFIG] if args.paper else [])
+
+
+def child(args, paths, first: str, rounds) -> None:
+    """Time ``rounds`` in this process, importing the ``first`` tree first, and
+    print one JSON line of times per config."""
+    with tempfile.TemporaryDirectory(prefix="evoris-ab-") as tmp:
+        sys.path.insert(0, tmp)
+        trees = {name: load_tree(getattr(args, name).resolve(), f"evoris_{name}", Path(tmp))
+                 for name in (first, "change" if first == "base" else "base")}
+        for config in configs_of(args):
+            times = run_config(ROOT / config, trees, rounds, paths)
+            print(json.dumps({"config": config, "times": times}), flush=True)
+
+
+def report(config: str, path: str, by_order) -> None:
+    """One line: the pooled median paired ratio, and the median per import order."""
+    base_t = [t for times in by_order.values() for t in times["base"]]
+    change_t = [t for times in by_order.values() for t in times["change"]]
+    ratios = [c / b for b, c in zip(base_t, change_t)]
+    per_order = ", ".join(
+        f"{first} imported first {statistics.median(c / b for b, c in zip(t['base'], t['change'])):.3f}"
+        for first, t in by_order.items())
+    print(f"{Path(config).stem} {path}: median ratio change/base "
+          f"{statistics.median(ratios):.3f} ({per_order}), change faster "
+          f"{sum(c < b for b, c in zip(base_t, change_t))}/{len(ratios)}, median ms "
+          f"base {1e3 * statistics.median(base_t):.3f} change "
+          f"{1e3 * statistics.median(change_t):.3f}; bits equal in every round", flush=True)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="base checkout")
+    parser.add_argument("--change", type=Path, default=ROOT,
+                        help="changed checkout (default: this one)")
+    parser.add_argument("--rounds", type=int, default=30, help="rounds per config")
+    parser.add_argument("--paper", action="store_true",
+                        help=f"also run {PAPER_CONFIG} (paper scale, slow)")
+    parser.add_argument("--paths", default=",".join(PATHS),
+                        help=f"comma-separated subset of {','.join(PATHS)}")
+    parser.add_argument("--child", help=argparse.SUPPRESS)  # FIRST:START:STOP
+    args = parser.parse_args()
+    paths = [p for p in args.paths.split(",") if p]
+    if not paths or not set(paths) <= set(PATHS) or args.rounds < 1:
+        parser.error(f"--paths takes a subset of {','.join(PATHS)}; --rounds >= 1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    if args.child:
+        first, start, stop = args.child.split(":")
+        child(args, paths, first, range(int(start), int(stop)))
+        return 0
+    # where a tree's code and data land in memory moves its timings by a few
+    # percent, so half the rounds run in a process that imports the base first
+    # and half in one that imports the change first
+    half = (args.rounds + 1) // 2
+    pooled = {}
+    for first, start, stop in (("base", 0, half), ("change", half, args.rounds)):
+        if start == stop:
+            continue
+        run = subprocess.run([sys.executable, __file__, *sys.argv[1:],
+                              "--child", f"{first}:{start}:{stop}"],
+                             capture_output=True, text=True)
+        if run.returncode:
+            sys.stderr.write(run.stderr)
+            return 1
+        for line in run.stdout.splitlines():
+            record = json.loads(line)
+            for path, times in record["times"].items():
+                pooled.setdefault((record["config"], path), {})[first] = times
+    for (config, path), by_order in pooled.items():
+        report(config, path, by_order)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
