@@ -124,23 +124,28 @@ def split_joint_genome(values: np.ndarray, arch: ArchConfig,
     return values[:n_policy], values[n_policy:]
 
 
-# Working-set budget of one batched policy pass in ``rollout``.  Steps go
-# through the network in chunks whose largest per-step arrays (attention
-# scores and the per-tap products of a conv layer) fit in it.  A desk-scale
-# step (n_ris=16, ~94 kB) runs 5 to a chunk: larger chunks measured no faster
-# per step and raise peak memory by the chunk's size.  A paper-scale step
-# (400x400 scores, 8.3 MB of per-tap products) runs alone, where batching
-# measured slower per step.
-STEP_CHUNK_BYTES = 512 << 10
+# Working-set budget of one batched policy pass in ``rollout``.  An episode
+# goes through the network in the fewest near-equal passes whose rows
+# (steps times surfaces) fit in it at ``_step_bytes`` each.  A desk-scale row
+# (n_ris=16) holds ~49 kB, so a pass takes up to 31 rows: a 50-step desk
+# episode runs in 2 passes on one surface and 4 on two, and a pass's
+# ~1.4 MB stays within a 2 MiB L2 cache.  On a 2 vCPU Xeon with one BLAS
+# thread, desk rollouts ran 10-35% faster at 26-32 rows per pass than at
+# 11-21, and one-surface episodes 37% slower again at 50 rows (~2.7 MB).  A
+# paper-scale row (3.8 MB) runs alone, where batching measured slower per
+# step.
+STEP_CHUNK_BYTES = 3 << 19
 
 
 def _step_bytes(arch: ArchConfig) -> int:
-    """Bytes of the largest per-step arrays of a batched policy pass: the
-    attention scores, and the k k C (n_ris, d_cat) per-tap products that
-    ``conv2d_same`` sums for its widest layer (it also computes, and drops,
-    k - 1 pad columns per row)."""
-    return 8 * (arch.n_ris * arch.n_ris +
-                arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
+    """Bytes one row (a step's surface) holds at the peak of a stacked policy
+    pass: the larger of the attention's three (n_ris, n_ris) score arrays and,
+    for the widest conv layer, its input map, the padded copy, one tap product
+    and the running sum (a stacked ``conv2d_same`` sums tap by tap)."""
+    c, k = max(arch.conv_channels), arch.conv_kernel
+    wp = arch.d_cat + k - 1
+    conv = c * (arch.n_ris * arch.d_cat + (arch.n_ris + k) * wp + 2 * arch.n_ris * wp)
+    return 8 * max(3 * arch.n_ris ** 2, conv)
 
 
 def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, steps,
@@ -148,10 +153,7 @@ def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, 
     """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass.
 
     ``a_tx_ris`` maps the ``id`` of each H1 array met so far in the block to
-    its TX-RIS attention row; this chunk adds its new arrays in one memo call."""
-    if agg_cfg is None and any(cs.ris_count != 1 for cs in steps):
-        raise ValueError("the attention policy takes a single-RIS channel view; "
-                         "use an aggregator for several surfaces")
+    its TX-RIS attention row; this pass adds its new arrays in one memo call."""
     # row i * K + k holds surface k of step i
     h = np.stack([cs.h for cs in steps])
     h2 = np.stack([h2 for cs in steps for h2 in cs.h2_list])
@@ -181,15 +183,18 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     Returns one gamma vector per episode.  An attention policy without an
     aggregator acts on the lone surface's channels (the single-RIS and
     bypass case); with one, K agents vote and the aggregator picks the
-    precoder.  An episode's steps (times agents) are stacked and go through
-    ``forward_steps`` a chunk of ``STEP_CHUNK_BYTES`` at a time; phases,
-    picks and gammas are bit-identical to calling ``forward`` (or
-    ``agent_act`` plus ``aggregate_precoder``) and ``snr`` step by step.
-    Each H1 array's TX-RIS attention comes from the memo ``forward`` uses, in
-    the first chunk that meets it: a line-of-sight H1 (shared, or equal copies
-    in an imported trace) is attended once per surface and genome, a Ricean
-    H1 once per step.  Sampling draws one uniform per step from
-    ``policy_rng`` with one call per chunk, in step order, which leaves the
+    precoder.  Every step must have the aggregator's surface count (one
+    without an aggregator), checked before the first pass.  An episode's
+    steps (times agents) are stacked and go through ``forward_steps`` in
+    passes of at most ``STEP_CHUNK_BYTES``, and one stacked ``snr`` call
+    scores each pass; phases, picks and gammas are bit-identical to calling
+    ``forward`` (or ``agent_act`` plus ``aggregate_precoder``) and ``snr``
+    step by step.  Each H1 array's TX-RIS attention comes from the memo
+    ``forward`` uses, in the first pass that meets it: a line-of-sight H1
+    (shared, or equal copies in an imported trace) is attended once per
+    surface and genome, a Ricean H1 once per step.  Sampling draws one
+    uniform per step from ``policy_rng`` with one call per pass, in step
+    order, which leaves the
     stream where per-step draws would; argmax draws nothing.  The
     fully-connected policy runs ``ff_forward`` step by step.
     """
@@ -214,17 +219,26 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     if agg_cfg is not None and agg_cfg.ris_count != scenario.ris_count:
         raise ValueError("aggregator ris_count must match the scenario")
     k = 1 if agg_cfg is None else agg_cfg.ris_count
+    bad = next((cs.ris_count for episode in episodes for cs in episode
+                if cs.ris_count != k), None)
+    if bad is not None and agg_cfg is None:
+        raise ValueError("the attention policy takes a single-RIS channel view; "
+                         "use an aggregator for several surfaces")
+    if bad is not None:
+        raise ValueError(f"a step has {bad} surfaces, the aggregator's ris_count is {k}")
     chunk = max(1, STEP_CHUNK_BYTES // (k * _step_bytes(policy_cfg)))
     a_tx_ris = {}
     for episode in episodes:
         g = np.empty(len(episode))
-        for s in range(0, len(episode), chunk):
-            steps = episode[s:s + chunk]
+        # the fewest passes that fit the budget, near-equal in size
+        passes = -(-len(episode) // chunk)
+        bounds = [len(episode) * i // passes for i in range(passes + 1)] if passes else []
+        for s, e in zip(bounds, bounds[1:]):
+            steps = episode[s:e]
             phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode,
                                          policy_rng, a_tx_ris)
-            for i, cs in enumerate(steps):
-                g[s + i] = snr(cs, list(phases[i]), codebook[:, idx[i]], budget,
-                               policy_cfg.phase_states)
+            g[s:e] = snr(steps, phases, [codebook[:, i] for i in idx], budget,
+                         policy_cfg.phase_states)
         gammas.append(g)
     return gammas
 

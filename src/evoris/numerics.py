@@ -88,7 +88,9 @@ def conv2d_same(inp: np.ndarray, kernels: np.ndarray,
         its runs, the products are summed in tap order, row-major over
         (i, j), and the k - 1 extra output columns per row are dropped (the
         result is a view).  A stacked call does the same products per step,
-        so every step has the bits of a call on that step alone.
+        so every step has the bits of a call on that step alone; a stack of
+        several steps adds each tap's product to a running sum as it goes,
+        which holds two tap products live instead of k k.
     """
     inp = np.asarray(inp, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -123,7 +125,15 @@ def conv2d_same(inp: np.ndarray, kernels: np.ndarray,
     # taps[..., i, j, c, x] = padded[..., c, :, :].ravel()[i * wp + j + x]
     taps = np.ndarray(lead + (k, k, c_in, h * wp), buffer=padded,
                       strides=tuple(s_lead) + (s_row, s_col, s_chan, s_col))
-    out = (kernels.transpose(2, 3, 0, 1) @ taps).sum(axis=(-4, -3))
+    w_taps = kernels.transpose(2, 3, 0, 1)
+    # one stacked matmul keeps a lone step's NumPy calls few (desk decisions);
+    # a stack's k k products would hold the working set at k k outputs
+    if lead and lead[0] > 1:
+        out = w_taps[0, 0] @ taps[:, 0, 0]
+        for i, j in list(np.ndindex(k, k))[1:]:
+            out += w_taps[i, j] @ taps[:, i, j]
+    else:
+        out = (w_taps @ taps).sum(axis=(-4, -3))
     out += bias[:, None]
     return out.reshape(lead + (c_out, h, wp))[..., :w]
 

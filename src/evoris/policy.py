@@ -370,7 +370,7 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
 # by every block of a scenario, so one entry per surface and genome serves every
 # later pass.  The bound is the largest shipped ``ris_count`` (multi_ris_k4.yaml);
 # a paper-scale entry holds ~230 kB, plus the rest of the read-only output its
-# row is a view of (at most a rollout chunk).  Changed in place, never rebound.
+# row is a view of (at most a rollout pass).  Changed in place, never rebound.
 _TX_RIS_MEMO_ENTRIES = 4
 _tx_ris_memo: list = []
 

@@ -65,7 +65,7 @@ def phase_to_coefficient(phase, states: int = 2) -> np.ndarray:
     arr = np.asarray(phase)
     if states == 2:
         vals = arr.astype(np.float64)
-        if not np.all(np.isin(vals, (-1.0, 1.0))):
+        if not np.all((vals == -1.0) | (vals == 1.0)):
             raise ValueError("binary phases must be -1 or +1")
         return np.where(vals < 0, 1.0 + 0.0j, -1.0 + 0.0j)
     if states < 2:
@@ -78,38 +78,79 @@ def phase_to_coefficient(phase, states: int = 2) -> np.ndarray:
     return np.exp(2j * np.pi * levels / states)
 
 
-def effective_channel(cs: ChannelSet, phases, states: int = 2) -> np.ndarray:
-    """Combined direct-plus-reflected channel seen at the receiver.
+_PHASE_SHAPE_ERROR = "each phase vector must be 1-D with one entry per RIS element"
 
-    ``phases`` is one vector per RIS (a single vector is accepted when
-    ris_count == 1).  Returns conj(h) + sum_k conj(H1_k) diag(coef_k)
-    conj(h2_k) as an (N_TX,) vector.
-    """
+
+def _one_block_phases(cs: ChannelSet, phases) -> np.ndarray:
+    """One block's phases, one vector per RIS or a single vector when
+    ris_count == 1, as a (1, K, n_ris) array."""
     if isinstance(phases, np.ndarray) and phases.ndim == 1:
         phases = [phases]
     elif isinstance(phases, (list, tuple)) and phases and np.isscalar(phases[0]):
         phases = [np.asarray(phases)]
     if len(phases) != cs.ris_count:
         raise ValueError(f"expected {cs.ris_count} phase vectors, got {len(phases)}")
-    m = np.conj(cs.h)
-    for h1, h2, ph in zip(cs.h1_list, cs.h2_list, phases):
-        ph = np.asarray(ph)
-        if ph.shape != h2.shape:
-            raise ValueError("each phase vector must be 1-D with one entry per "
-                             "RIS element")
-        coef = phase_to_coefficient(ph, states)
-        m = m + np.conj(h1) @ (np.conj(h2) * coef)
-    return m
+    try:
+        return np.asarray(phases)[None]
+    except ValueError:  # vectors of unequal lengths
+        raise ValueError(_PHASE_SHAPE_ERROR) from None
 
 
-def snr(cs: ChannelSet, phases, v: np.ndarray, budget: LinkBudget,
-        states: int = 2) -> float:
-    """Receive SNR (P / sigma^2) |m . v|^2 for precoder column v."""
-    v = np.asarray(v)
+def effective_channel(cs, phases, states: int = 2) -> np.ndarray:
+    """Combined direct-plus-reflected channel seen at the receiver.
+
+    For one ChannelSet ``cs``, ``phases`` is one vector per RIS (a single
+    vector is accepted when ris_count == 1), and the result is conj(h) +
+    sum_k conj(H1_k) diag(coef_k) conj(h2_k) as an (N_TX,) vector.  For a list
+    of B blocks with equal surface counts, ``phases`` is (B, K, n_ris) and the
+    result (B, N_TX); each row has the bits of the one-block call.  The phases
+    are validated once; an H1 array shared by every block (a line-of-sight
+    H1) is broadcast, each block's product being the same matrix-vector
+    product as a one-block call.
+    """
+    stacked = isinstance(cs, (list, tuple))
+    blocks = cs if stacked else [cs]
+    phases = np.asarray(phases) if stacked else _one_block_phases(cs, phases)
+    k = blocks[0].ris_count
+    if any(b.ris_count != k for b in blocks):
+        raise ValueError("every block of a stack needs the same surface count")
+    if phases.shape[:2] != (len(blocks), k):
+        raise ValueError(f"expected phases of shape ({len(blocks)}, {k}, n_ris), "
+                         f"got {phases.shape}")
+    h2 = np.array([b.h2_list for b in blocks])
+    if phases.shape != h2.shape:
+        raise ValueError(_PHASE_SHAPE_ERROR)
+    x = np.conj(h2) * phase_to_coefficient(phases, states)
+    m = np.conj(np.array([b.h for b in blocks]))
+    for j in range(k):
+        h1 = [b.h1_list[j] for b in blocks]
+        shared = all(a is h1[0] for a in h1)
+        m = m + (np.conj(h1[0] if shared else np.array(h1)) @ x[:, j, :, None])[..., 0]
+    return m if stacked else m[0]
+
+
+def snr(cs, phases, v, budget: LinkBudget, states: int = 2):
+    """Receive SNR (P / sigma^2) |m . v|^2 for precoder column v.
+
+    One block gives a float.  A list of B blocks, with phases (B, K, n_ris)
+    and a sequence of B precoder columns, gives a (B,) array whose entries
+    have the bits of the one-block calls: the effective channels come from
+    one stacked ``effective_channel``, and each block finishes with its own
+    dot product and scalar arithmetic, as a one-block call does.
+    """
     m = effective_channel(cs, phases, states)
-    if v.shape != m.shape:
-        raise ValueError("precoder length must match n_tx")
-    return budget.tx_power_w / budget.noise_power_w * abs(np.dot(m, v)) ** 2
+    stacked = m.ndim == 2
+    rows, columns = (m, v) if stacked else ([m], [v])
+    if len(columns) != len(rows):
+        raise ValueError(f"expected {len(rows)} precoder columns, got {len(columns)}")
+    scale = budget.tx_power_w / budget.noise_power_w
+    gammas = []
+    for m_b, v_b in zip(rows, columns):
+        v_b = np.asarray(v_b)
+        if v_b.shape != m_b.shape:
+            raise ValueError("precoder length must match n_tx")
+        gammas.append(scale * abs(np.dot(m_b, v_b)) ** 2)
+    return np.array(gammas) if stacked else gammas[0]
 
 
 def rate(gamma: float) -> float:

@@ -25,6 +25,7 @@ from evoris.system import evaluation_codebook, link_budget_from, snr
 
 ARCH = ArchConfig(n_tx=4, n_ris=8, codebook_size=4)
 ARCH_D = ArchConfig(n_tx=4, n_ris=8, codebook_size=4, direct_branch=True)
+ARCH_L4 = ArchConfig(n_tx=4, n_ris=8, codebook_size=4, phase_states=4)
 SCN_K1 = ScenarioConfig(n_tx=4, n_ris=8, horizon=7, episodes=3)
 SCN_K2 = ScenarioConfig(n_tx=4, n_ris=8, ris_count=2,
                         ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
@@ -35,7 +36,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # (case, policy config, aggregator config, scenario)
 CASES = [("single", ARCH, None, SCN_K1),
          ("multi", ARCH_D, AGG_K2, SCN_K2),
-         ("bypass", ARCH_D, None, SCN_K1)]
+         ("bypass", ARCH_D, None, SCN_K1),
+         ("levels4", ARCH_L4, None, SCN_K1)]
 
 
 def replay(values, arch, agg_cfg, scenario, trace, mode, rng):
@@ -62,18 +64,25 @@ def replay(values, arch, agg_cfg, scenario, trace, mode, rng):
 
 
 def recorded_rollout(monkeypatch, *args):
-    """Run ``rollout`` and capture the (phases, precoder column, gamma) it scores."""
-    calls = []
+    """Run ``rollout`` and capture the (phases, precoder column, gamma) it scores,
+    one record per step, and the number of steps of each ``snr`` call: a
+    stacked call, one per pass, gives one record per block."""
+    calls, sizes = [], []
 
     def recording_snr(cs, phases, v, budget, states=2):
         gamma = snr(cs, phases, v, budget, states)
-        calls.append((phases, v, gamma))
+        if isinstance(cs, list):
+            calls.extend(zip(phases, v, gamma))
+            sizes.append(len(cs))
+        else:
+            calls.append((phases, v, gamma))
+            sizes.append(1)
         return gamma
 
     with monkeypatch.context() as m:
         m.setattr(multiris, "snr", recording_snr)
         gammas = rollout(*args)
-    return gammas, calls
+    return gammas, calls, sizes
 
 
 def unit_trace(scenario, episodes, horizon, seed):
@@ -95,13 +104,14 @@ def genome(arch, agg_cfg, seed):
     return make_rng(seed).standard_normal(m) * 0.3
 
 
-@pytest.mark.parametrize("chunk_steps", [None, 3])
+@pytest.mark.parametrize("chunk_steps", [None, 1, 3, 7])
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
 @pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
 def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scenario,
                                           mode, chunk_steps):
     if chunk_steps is not None:
-        # horizon 7 spans three chunks, the last one short
+        # horizon 7 runs in 7 passes of one step, 3 passes of 2, 2 and 3
+        # steps, or one pass of the whole episode
         k = 1 if agg_cfg is None else agg_cfg.ris_count
         monkeypatch.setattr(multiris, "STEP_CHUNK_BYTES",
                             chunk_steps * k * multiris._step_bytes(arch))
@@ -109,11 +119,12 @@ def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scen
     trace = unit_trace(scenario, 3, 7, 2)
     ref_rng, got_rng = make_rng(3), make_rng(3)
     ref = replay(values, arch, agg_cfg, scenario, trace, mode, ref_rng)
-    gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
-                                     trace, mode, got_rng)
+    gammas, calls, sizes = recorded_rollout(monkeypatch, values, arch, agg_cfg,
+                                            scenario, trace, mode, got_rng)
 
     cb = evaluation_codebook(scenario, arch.codebook_size)
     assert [g.shape for g in gammas] == [(7,)] * 3
+    assert sizes == {None: [7], 1: [1] * 7, 3: [2, 2, 3], 7: [7]}[chunk_steps] * 3
     assert len(calls) == len(ref) == 21
     for (phases, v, gamma), (ref_phases, ref_idx, ref_gamma) in zip(calls, ref):
         got = np.atleast_2d(np.asarray(phases))
@@ -162,6 +173,24 @@ def test_rollout_validation():
         rollout(genome(ARCH, None, 11), ARCH, None, SCN_K2, trace)
     with pytest.raises(ValueError):  # sampling without a stream
         rollout(genome(ARCH_D, AGG_K2, 12), ARCH_D, AGG_K2, SCN_K2, trace, "sample")
+
+
+@pytest.mark.parametrize("surfaces", [4, 1])
+def test_rollout_names_a_surface_count_mismatch_before_any_pass(monkeypatch, surfaces):
+    cfg = load_config(CONFIGS / "multi_ris_desk.yaml")
+    arch, agg_cfg = trained_policy_configs(cfg)
+    assert agg_cfg.ris_count == 2
+    trace = sample_episodes(cfg.scenario, 2, 6, make_rng(13))
+    last = trace[-1][-1]  # the only bad step, in the block's last pass
+    last.h1_list = (last.h1_list * 2)[:surfaces]
+    last.h2_list = (last.h2_list * 2)[:surfaces]
+    passes = []
+    monkeypatch.setattr(multiris, "forward_steps",
+                        lambda *args, **kwargs: passes.append(args))
+    with pytest.raises(ValueError, match=f"a step has {surfaces} surfaces, the "
+                                         "aggregator's ris_count is 2"):
+        rollout(genome(arch, agg_cfg, 14), arch, agg_cfg, cfg.scenario, trace)
+    assert passes == []
 
 
 # -- golden values ------------------------------------------------------------
@@ -360,8 +389,8 @@ def test_rollout_and_forward_match_recorded_values(monkeypatch, case, mode):
         assert [float(p).hex() for p in probs] == list(want_probs)
 
     cb = evaluation_codebook(scenario, arch.codebook_size)
-    gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
-                                     trace, mode, make_rng(3))
+    gammas, calls, _ = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
+                                        trace, mode, make_rng(3))
     assert [(signs(phases), float(gamma).hex()) for phases, _, gamma in calls] == \
         [(s, g) for s, _, g, _ in want]
     assert [np.flatnonzero((cb == v[:, None]).all(axis=0))[0] for _, v, _ in calls] == \
@@ -408,7 +437,7 @@ TRACES = {
 def test_rollout_tx_ris_attention_once_matches_replay(monkeypatch, case, arch, agg_cfg,
                                                       scenario, mode, trace_kind):
     k = 1 if agg_cfg is None else agg_cfg.ris_count
-    # horizon 7 spans three chunks of at most 3 steps, the last one short
+    # horizon 7 runs in three near-equal passes of at most 3 steps: 2, 2, 3
     monkeypatch.setattr(multiris, "STEP_CHUNK_BYTES", 3 * k * multiris._step_bytes(arch))
     values = genome(arch, agg_cfg, 1)
     trace = TRACES[trace_kind](scenario)
@@ -427,10 +456,10 @@ def test_rollout_tx_ris_attention_once_matches_replay(monkeypatch, case, arch, a
 
     with monkeypatch.context() as m:
         m.setattr(policy, "attention_steps", counting)
-        gammas, calls = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
-                                         trace, mode, got_rng)
+        gammas, calls, _ = recorded_rollout(monkeypatch, values, arch, agg_cfg,
+                                            scenario, trace, mode, got_rng)
     if trace_kind == "ricean_h1":
-        assert batches == [3 * k, 3 * k, k] * 3
+        assert batches == [2 * k, 2 * k, 3 * k] * 3
     else:
         assert batches == [k]
 

@@ -5,17 +5,22 @@ naive summation code written here, then compare.
 """
 
 import math
+from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evoris.channel import ChannelSet, ScenarioConfig
+from evoris.channel import ChannelSet, ScenarioConfig, sample_episodes
+from evoris.harness import load_config
 from evoris.numerics import make_rng
 from evoris.system import (LinkBudget, dbm_to_watt, dft_codebook,
                            effective_channel, evaluation_codebook,
                            link_budget_from, phase_to_coefficient, rate, snr)
 
 UNIT = LinkBudget(tx_power_w=1.0, noise_power_w=1.0)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_channel_set(rng, n_tx, n_ris, k, direct=True) -> ChannelSet:
@@ -221,3 +226,97 @@ def test_link_budget_from_scenario():
     assert abs(budget.noise_power_w - 1e-8) < 1e-22
     with pytest.raises(ValueError):
         LinkBudget(tx_power_w=0.0, noise_power_w=1.0)
+
+
+# -- stacked snr ---------------------------------------------------------------
+# (config, scenario overrides, phase states).  On single_ris.yaml 15 of the 16
+# DFT beams deliver rounding noise (~1e-30), whose bits move with any change
+# in the summation order of the final dot product.
+STACKS = {
+    "paper_single": ("single_ris.yaml", {}, 2),
+    "multi_desk": ("multi_ris_desk.yaml", {}, 2),
+    "ricean_h1": ("multi_ris_desk.yaml", {"kappa_h1_db": 10.0}, 2),
+    "levels4": ("multi_ris_desk.yaml", {}, 4),
+}
+
+
+@lru_cache(maxsize=None)
+def stack_case(name):
+    """50 blocks of one sampled episode, random phases for them, the
+    evaluation codebook, the link budget and the phase states."""
+    config, overrides, states = STACKS[name]
+    cfg = load_config(CONFIGS / config)
+    scn = replace(cfg.scenario, **overrides)
+    blocks = sample_episodes(scn, 1, 50, make_rng(20))[0]
+    rng = make_rng(21)
+    shape = (50, scn.ris_count, scn.n_ris)
+    phases = (rng.integers(0, states, shape) if states > 2
+              else rng.integers(0, 2, shape) * 2.0 - 1.0)
+    return (blocks, phases, evaluation_codebook(scn, cfg.arch.codebook_size),
+            link_budget_from(scn), states)
+
+
+def lone_block_snr(cs, phase_list, v, budget, states):
+    """The one-block arithmetic written out: the effective channel summed
+    surface by surface with 2-D by 1-D products, then one dot product and
+    scalar abs and square."""
+    m = np.conj(cs.h)
+    for h1, h2, ph in zip(cs.h1_list, cs.h2_list, phase_list):
+        m = m + np.conj(h1) @ (np.conj(h2) * phase_to_coefficient(ph, states))
+    return budget.tx_power_w / budget.noise_power_w * abs(np.dot(m, v)) ** 2
+
+
+@pytest.mark.parametrize("b", [1, 3, 50])
+@pytest.mark.parametrize("name", list(STACKS))
+def test_stacked_snr_equals_one_block_snr(name, b):
+    blocks, phases, cb, budget, states = stack_case(name)
+    blocks, phases = blocks[:b], phases[:b]
+    h1s = [cs.h1_list[0] for cs in blocks]
+    # line-of-sight H1 is one shared array, a Ricean one a new array per block
+    assert len({id(h1) for h1 in h1s}) == (b if name == "ricean_h1" else 1)
+    m = effective_channel(blocks, phases, states)
+    assert m.shape == (b, cb.shape[0])
+    every = []
+    for beam in range(cb.shape[1]):
+        columns = [cb[:, (beam + i) % cb.shape[1]] for i in range(b)]
+        got = snr(blocks, phases, columns, budget, states)
+        assert got.shape == (b,) and got.dtype == np.float64
+        want = [snr(cs, list(ph), v, budget, states)
+                for cs, ph, v in zip(blocks, phases, columns)]
+        assert got.tobytes() == np.array(want).tobytes()
+        lone = [lone_block_snr(cs, ph, v, budget, states)
+                for cs, ph, v in zip(blocks, phases, columns)]
+        assert got.tobytes() == np.array(lone).tobytes()
+        for i, (cs, ph) in enumerate(zip(blocks, phases)):
+            assert m[i].tobytes() == effective_channel(cs, list(ph), states).tobytes()
+        every.append(got)
+    if name == "paper_single":  # the rounding-noise beams are covered
+        every = np.concatenate(every)
+        assert np.sum(every < 1e-20 * every.max()) >= b * (cb.shape[1] - 1)
+    if blocks[0].ris_count == 1:  # the lone vector form of a one-block call
+        assert snr(blocks[0], phases[0][0], cb[:, 0], budget, states) == \
+            snr(blocks, phases, [cb[:, 0]] * b, budget, states)[0]
+
+
+def test_stacked_snr_validation():
+    blocks, phases, cb, budget, _ = stack_case("multi_desk")
+    blocks, phases = blocks[:3], phases[:3]
+    columns = [cb[:, 0]] * 3
+    with pytest.raises(ValueError, match="binary phases must be -1 or"):
+        snr(blocks, np.where(phases > 0, 0.5, -1.0), columns, budget)
+    with pytest.raises(ValueError, match="multi-state phases must be integers"):
+        snr(blocks, phases + 0.5, columns, budget, states=4)
+    with pytest.raises(ValueError, match=r"phase levels must lie in \[0, 4\)"):
+        snr(blocks, np.full(phases.shape, 4), columns, budget, states=4)
+    with pytest.raises(ValueError, match="one entry per RIS element"):
+        snr(blocks, phases[..., :-1], columns, budget)
+    with pytest.raises(ValueError, match="expected phases of shape"):
+        snr(blocks, phases[:, :1], columns, budget)
+    with pytest.raises(ValueError, match="expected 3 precoder columns, got 2"):
+        snr(blocks, phases, columns[:2], budget)
+    with pytest.raises(ValueError, match="precoder length must match n_tx"):
+        snr(blocks, phases, [cb[:-1, 0]] * 3, budget)
+    lone = ChannelSet(h=blocks[0].h, h1_list=blocks[0].h1_list[:1],
+                      h2_list=blocks[0].h2_list[:1])
+    with pytest.raises(ValueError, match="same surface count"):
+        snr(blocks[:2] + [lone], phases, columns, budget)

@@ -26,10 +26,15 @@ own code.  The two trees run each path back to back, the base first on even
 rounds, and their outputs (gammas; phases, picks and precoder probabilities)
 must be bitwise equal, else the tool stops with status 1.  The first half of
 the rounds runs in a child process that imports the base first, the second
-half in one that imports the change first.  It prints, per config and path,
-the median paired ratio of the change's time over the base's (pooled, and per
-child), the rounds where the change was faster, and the median times.  BLAS
-is pinned to one thread before NumPy is imported.
+half in one that imports the change first.  After its timed rounds, each
+child runs every path once more per tree, untimed, under ``tracemalloc``
+(NumPy reports its array buffers to it), on the blocks of its last round.
+It prints, per config and path, the median paired ratio of the change's time
+over the base's (pooled, and per child), the rounds where the change was
+faster, the median times, and each tree's traced peak (the larger of the two
+children's): the bytes the path holds at once, a count that repeats exactly
+from run to run, unlike a process's resident size.  BLAS is pinned to one
+thread before NumPy is imported.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -132,8 +138,19 @@ def timed(fn, seed):
     return time.perf_counter() - t0, hashlib.sha256(out).hexdigest()
 
 
-def run_config(config: Path, trees, rounds, paths) -> dict:
-    """Per path, the base's and the change's time in each round of ``rounds``."""
+def traced_peak(fn, seed) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def run_config(config: Path, trees, rounds, paths):
+    """Per path, the base's and the change's time in each round of ``rounds``,
+    and each tree's traced peak on the last round's blocks."""
     import numpy as np
     probe = trees["change"]["harness"].load_config(config)
     arch, agg = trees["change"]["harness"].trained_policy_configs(probe)
@@ -152,7 +169,9 @@ def run_config(config: Path, trees, rounds, paths) -> dict:
                 times[path][name].append(elapsed)
             if digests["base"] != digests["change"]:
                 raise SystemExit(f"error: {config.name} {path}: outputs differ in round {r}")
-    return times
+    peaks = {path: {name: traced_peak(getattr(sides[name], path), rounds[-1])
+                    for name in sides} for path in paths}
+    return times, peaks
 
 
 def configs_of(args):
@@ -167,12 +186,14 @@ def child(args, paths, first: str, rounds) -> None:
         trees = {name: load_tree(getattr(args, name).resolve(), f"evoris_{name}", Path(tmp))
                  for name in (first, "change" if first == "base" else "base")}
         for config in configs_of(args):
-            times = run_config(ROOT / config, trees, rounds, paths)
-            print(json.dumps({"config": config, "times": times}), flush=True)
+            times, peaks = run_config(ROOT / config, trees, rounds, paths)
+            print(json.dumps({"config": config, "times": times, "peaks": peaks}),
+                  flush=True)
 
 
-def report(config: str, path: str, by_order) -> None:
-    """One line: the pooled median paired ratio, and the median per import order."""
+def report(config: str, path: str, by_order, peaks) -> None:
+    """One line: the pooled median paired ratio, the median per import order,
+    and each tree's traced peak."""
     base_t = [t for times in by_order.values() for t in times["base"]]
     change_t = [t for times in by_order.values() for t in times["change"]]
     ratios = [c / b for b, c in zip(base_t, change_t)]
@@ -183,7 +204,10 @@ def report(config: str, path: str, by_order) -> None:
           f"{statistics.median(ratios):.3f} ({per_order}), change faster "
           f"{sum(c < b for b, c in zip(base_t, change_t))}/{len(ratios)}, median ms "
           f"base {1e3 * statistics.median(base_t):.3f} change "
-          f"{1e3 * statistics.median(change_t):.3f}; bits equal in every round", flush=True)
+          f"{1e3 * statistics.median(change_t):.3f}; traced peak kB base "
+          f"{max(p['base'] for p in peaks) / 1e3:.1f} change "
+          f"{max(p['change'] for p in peaks) / 1e3:.1f}; bits equal in every round",
+          flush=True)
 
 
 def main() -> int:
@@ -211,7 +235,7 @@ def main() -> int:
     # percent, so half the rounds run in a process that imports the base first
     # and half in one that imports the change first
     half = (args.rounds + 1) // 2
-    pooled = {}
+    pooled, peaks = {}, {}
     for first, start, stop in (("base", 0, half), ("change", half, args.rounds)):
         if start == stop:
             continue
@@ -225,8 +249,10 @@ def main() -> int:
             record = json.loads(line)
             for path, times in record["times"].items():
                 pooled.setdefault((record["config"], path), {})[first] = times
+                peaks.setdefault((record["config"], path), []).append(
+                    record["peaks"][path])
     for (config, path), by_order in pooled.items():
-        report(config, path, by_order)
+        report(config, path, by_order, peaks[(config, path)])
     return 0
 
 
