@@ -127,25 +127,22 @@ def split_joint_genome(values: np.ndarray, arch: ArchConfig,
 # Working-set budget of one batched policy pass in ``rollout``.  An episode
 # goes through the network in the fewest near-equal passes whose rows
 # (steps times surfaces) fit in it at ``_step_bytes`` each.  A desk-scale row
-# (n_ris=16) holds ~49 kB, so a pass takes up to 31 rows: a 50-step desk
-# episode runs in 2 passes on one surface and 4 on two, and a pass's
-# ~1.4 MB stays within a 2 MiB L2 cache.  On a 2 vCPU Xeon with one BLAS
-# thread, desk rollouts ran 10-35% faster at 26-32 rows per pass than at
-# 11-21, and one-surface episodes 37% slower again at 50 rows (~2.7 MB).  A
-# paper-scale row (3.8 MB) runs alone, where batching measured slower per
+# (n_ris=16) counts 94 kB, so a pass takes up to 31 rows: a 50-step desk
+# episode runs in 2 passes on one surface and 4 on two.  On a 2 vCPU Xeon
+# with one BLAS thread, desk rollouts ran 10-35% faster at 26-32 rows per
+# pass than at 11-21, and one-surface episodes 37% slower again at 50 rows;
+# a 25-row pass peaks at ~1.4 MB (tracemalloc), within a 2 MiB L2 cache.  A
+# paper-scale row (9.1 MB) runs alone, where batching measured slower per
 # step.
-STEP_CHUNK_BYTES = 3 << 19
+STEP_CHUNK_BYTES = 45 << 16
 
 
 def _step_bytes(arch: ArchConfig) -> int:
-    """Bytes one row (a step's surface) holds at the peak of a stacked policy
-    pass: the larger of the attention's three (n_ris, n_ris) score arrays and,
-    for the widest conv layer, its input map, the padded copy, one tap product
-    and the running sum (a stacked ``conv2d_same`` sums tap by tap)."""
-    c, k = max(arch.conv_channels), arch.conv_kernel
-    wp = arch.d_cat + k - 1
-    conv = c * (arch.n_ris * arch.d_cat + (arch.n_ris + k) * wp + 2 * arch.n_ris * wp)
-    return 8 * max(3 * arch.n_ris ** 2, conv)
+    """Bytes a row counts against ``STEP_CHUNK_BYTES``: its attention scores
+    and the k k C (n_ris, d_cat) per-tap products of the widest conv layer.
+    A coarse size, the budget being set by measured pass times."""
+    return 8 * (arch.n_ris * arch.n_ris +
+                arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
 
 
 def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, steps,

@@ -126,8 +126,10 @@ def conv2d_same(inp: np.ndarray, kernels: np.ndarray,
     taps = np.ndarray(lead + (k, k, c_in, h * wp), buffer=padded,
                       strides=tuple(s_lead) + (s_row, s_col, s_chan, s_col))
     w_taps = kernels.transpose(2, 3, 0, 1)
-    # one stacked matmul keeps a lone step's NumPy calls few (desk decisions);
-    # a stack's k k products would hold the working set at k k outputs
+    # A stack sums tap by tap, holding two tap products instead of k k: on 25
+    # desk steps (2.7 MB of products) that ran at 0.70 of one stacked matmul.
+    # A lone step keeps the stacked matmul: per-tap, its 2 k k - 1 NumPy
+    # calls made desk decisions 1.18-1.24x slower (tools/ab.py, 30 rounds).
     if lead and lead[0] > 1:
         out = w_taps[0, 0] @ taps[:, 0, 0]
         for i, j in list(np.ndindex(k, k))[1:]:

@@ -136,10 +136,15 @@ def snr(cs, phases, v, budget: LinkBudget, states: int = 2):
     and a sequence of B precoder columns, gives a (B,) array whose entries
     have the bits of the one-block calls: the effective channels come from
     one stacked ``effective_channel``, and each block finishes with its own
-    dot product and scalar arithmetic, as a one-block call does.
+    dot product and scalar arithmetic, as a one-block call does.  The
+    columns may not come as one array: ``codebook[:, idx]`` would be walked
+    by rows, which pass every check when B == n_tx.
     """
     m = effective_channel(cs, phases, states)
     stacked = m.ndim == 2
+    if stacked and isinstance(v, np.ndarray):
+        raise ValueError("stacked snr takes a sequence of precoder columns, "
+                         "not an array")
     rows, columns = (m, v) if stacked else ([m], [v])
     if len(columns) != len(rows):
         raise ValueError(f"expected {len(rows)} precoder columns, got {len(columns)}")

@@ -299,8 +299,8 @@ def test_stacked_snr_equals_one_block_snr(name, b):
 
 
 def test_stacked_snr_validation():
-    blocks, phases, cb, budget, _ = stack_case("multi_desk")
-    blocks, phases = blocks[:3], phases[:3]
+    all_blocks, all_phases, cb, budget, _ = stack_case("multi_desk")
+    blocks, phases = all_blocks[:3], all_phases[:3]
     columns = [cb[:, 0]] * 3
     with pytest.raises(ValueError, match="binary phases must be -1 or"):
         snr(blocks, np.where(phases > 0, 0.5, -1.0), columns, budget)
@@ -316,6 +316,11 @@ def test_stacked_snr_validation():
         snr(blocks, phases, columns[:2], budget)
     with pytest.raises(ValueError, match="precoder length must match n_tx"):
         snr(blocks, phases, [cb[:-1, 0]] * 3, budget)
+    # with B == n_tx the (n_tx, B) array cb[:, idx] has the shape of B rows
+    n_tx = cb.shape[0]
+    idx = np.arange(n_tx) % cb.shape[1]
+    with pytest.raises(ValueError, match="sequence of precoder columns"):
+        snr(all_blocks[:n_tx], all_phases[:n_tx], cb[:, idx], budget)
     lone = ChannelSet(h=blocks[0].h, h1_list=blocks[0].h1_list[:1],
                       h2_list=blocks[0].h2_list[:1])
     with pytest.raises(ValueError, match="same surface count"):
