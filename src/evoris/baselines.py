@@ -64,10 +64,25 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
     return [flat[k * n:(k + 1) * n].copy() for k in range(cs.ris_count)]
 
 
-def _population_gammas(coefs: np.ndarray, base: np.ndarray, bt: np.ndarray,
-                       v: np.ndarray, scale: float) -> np.ndarray:
-    m = base[None, :] + coefs @ bt
-    return scale * np.abs(m @ v) ** 2
+# Bytes of one group's population cast to complex for its cascade product,
+# (beams, individuals, n_bits) complex128.  A block's beams are searched in
+# the fewest near-equal groups under it.  Every desk block (<= 31 kB) is one
+# group.  A paper-scale beam (individuals 15, n_bits 400) takes 96 kB, so it
+# runs alone.  On a 2 vCPU Xeon with one BLAS thread (medians of 10-40
+# interleaved rounds of 10 paper blocks, against the one-beam-at-a-time
+# search): one beam per group ran at 0.96-0.98 with 0-110 minor page faults
+# per block, groups of 4 (384 kB) at 0.84-1.06 with ~400-500, and all 16
+# beams (1.5 MB) at 1.2-1.5 with ~1300.  Groups of 4 were no faster and
+# fault more, so the budget keeps a paper-scale beam alone.
+LGA_GROUP_BYTES = 1 << 17
+
+
+def _beam_groups(n_v: int, beam_bytes: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest near-equal runs of ``n_v`` beams whose
+    ``beam_bytes`` each fit ``LGA_GROUP_BYTES`` (one beam at least)."""
+    groups = -(-n_v // max(1, LGA_GROUP_BYTES // beam_bytes))
+    bounds = [n_v * i // groups for i in range(groups + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
@@ -77,17 +92,29 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
 
     For every codebook column a small population of {-1,+1} strings evolves
     for the configured generations; the best pair ever evaluated wins, with
-    ties broken toward the lowest precoder index.  ``init`` optionally seeds
-    each per-beam search with a fixed starting population.
+    ties broken toward the lowest precoder index and then the earliest
+    generation.  ``init`` optionally seeds each per-beam search with a fixed
+    starting population.
+
+    No draw depends on a fitness, so each group of beams (see
+    ``LGA_GROUP_BYTES``) makes all of its draws first, beam by beam: the
+    initial population, then per generation the crossover points and the
+    flip uniforms (breeding follows the last generation too).  The group's
+    populations then evolve as one (beams, individuals, n_bits) stack, with
+    per beam the same products, sort and breeding as a search run alone, so
+    the result and the stream's end state are those of searching the beams
+    one at a time.  Raises ValueError when the best SNR found is not finite
+    (every SNR NaN, or an overflow).
     """
     n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, params.individuals // 2)
-    n_off = params.individuals - n_parents
+    n_ind, n_gen = params.individuals, params.generations
+    n_off = n_ind - n_parents
     if init is not None:
         init = np.asarray(init, dtype=np.float64)
-        if init.shape != (params.individuals, n_bits):
+        if init.shape != (n_ind, n_bits):
             raise ValueError("init population must be (individuals, n_bits)")
         if not np.all(np.isin(init, (-1.0, 1.0))):
             raise ValueError("init population entries must be -1 or +1")
@@ -95,46 +122,65 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     base = np.conj(cs.h)
     bt = _cascade_matrix(cs).T
     scale = budget.tx_power_w / budget.noise_power_w
+    # child j crosses the rank-ordered parents j and j + 1 (cyclically)
+    p1 = np.arange(n_off) % n_parents
+    p2 = (p1 + 1) % n_parents
+    bit = np.arange(n_bits)
 
-    best_gamma = -1.0
-    best_flat = None
-    best_idx = -1
-    evaluations = 0
-
-    for v_idx in range(codebook.shape[1]):
-        v = codebook[:, v_idx]
-        if init is not None:
-            pop = init.copy()
-        else:
-            pop = rng.integers(0, 2, size=(params.individuals, n_bits)) * 2.0 - 1.0
-        for _ in range(params.generations):
+    n_v = codebook.shape[1]
+    best_gamma, best_flat, best_idx = -1.0, None, -1
+    for a, b in _beam_groups(n_v, 16 * n_ind * n_bits):
+        g = b - a
+        pop = np.empty((g, n_ind, n_bits))
+        points = np.zeros((g, n_gen, n_off), dtype=np.int64)
+        flips = np.empty((g, n_gen, n_off, n_bits), dtype=bool)
+        for i in range(g):
+            if init is not None:
+                pop[i] = init
+            else:
+                np.multiply(rng.integers(0, 2, size=(n_ind, n_bits)), 2.0, out=pop[i])
+                pop[i] -= 1.0
+            for gen in range(n_gen):
+                if n_bits > 1:
+                    points[i, gen] = rng.integers(1, n_bits, size=n_off)
+                np.less(rng.random((n_off, n_bits)), p_mut, out=flips[i, gen])
+        second = bit >= points[..., None]
+        # (g, n_tx, 1): each beam's column keeps the strides of
+        # codebook[:, v_idx], so its product takes a one-column product's path
+        v = codebook[:, a:b].T[:, :, None]
+        rows = np.arange(g)[:, None] * n_ind
+        coefs = np.empty(pop.shape, dtype=np.complex128)
+        ranked = np.empty_like(pop)
+        tops = np.empty((g, n_gen))
+        firsts = np.empty((g, n_gen, n_bits))
+        for gen in range(n_gen):
             # population rows are phases; they reflect with coefficient -phase
-            gammas = _population_gammas(-pop, base, bt, v, scale)
-            evaluations += params.individuals
-            order = np.argsort(-gammas, kind="stable")
-            pop = pop[order]
-            gammas = gammas[order]
-            if gammas[0] > best_gamma:
-                best_gamma = float(gammas[0])
-                best_flat = pop[0].copy()
-                best_idx = v_idx
-            if n_off > 0:
-                parents = pop[:n_parents]
-                children = np.empty((n_off, n_bits))
-                points = rng.integers(1, n_bits, size=n_off) if n_bits > 1 \
-                    else np.zeros(n_off, dtype=np.int64)
-                for j in range(n_off):
-                    p1 = parents[j % n_parents]
-                    p2 = parents[(j + 1) % n_parents]
-                    c = int(points[j])
-                    children[j, :c] = p1[:c]
-                    children[j, c:] = p2[c:]
-                flips = rng.random((n_off, n_bits)) < p_mut
-                children = np.where(flips, -children, children)
-                pop[n_parents:] = children
-
+            np.negative(pop, out=coefs)
+            m = base + coefs @ bt
+            gammas = scale * np.abs(np.matmul(m, v)[..., 0]) ** 2
+            order = rows + np.argsort(-gammas, axis=1, kind="stable")
+            pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
+            pop, ranked = ranked, pop
+            tops[:, gen] = gammas.reshape(-1)[order[:, 0]]
+            firsts[:, gen] = pop[:, 0]
+            # single-point crossover: bits before the point come from the
+            # first parent, the rest from the second; then the flips
+            children = pop[:, n_parents:]
+            pop.take(p1, axis=1, out=children)
+            np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
+            np.negative(children, out=children, where=flips[:, gen])
+        # a one-beam-at-a-time scan keeps the first strictly better top, so
+        # the earliest maximum in beam-major order; NaN tops never win
+        seq = np.where(tops > best_gamma, tops, -np.inf).ravel()
+        k = int(np.argmax(seq))
+        if seq[k] > best_gamma:
+            best_gamma, best_idx = float(seq[k]), a + k // n_gen
+            best_flat = firsts.reshape(-1, n_bits)[k]
+    if best_flat is None or not np.isfinite(best_gamma):
+        raise ValueError("lga_solve found no finite best SNR; the channels or "
+                         "the link budget are not finite")
     return LgaResult(phases=_split_phases(cs, best_flat), precoder_index=best_idx,
-                     gamma=best_gamma, evaluations=evaluations)
+                     gamma=best_gamma, evaluations=n_v * n_gen * n_ind)
 
 
 def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,

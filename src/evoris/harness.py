@@ -70,6 +70,11 @@ class ExperimentConfig:
                               f"scenario.n_ris {self.scenario.n_ris}")
         if self.arch.codebook_size > self.scenario.n_tx:
             raise ConfigError("arch.codebook_size: cannot exceed scenario.n_tx")
+        if self.arch.phase_states != 2 and self.policy != "attention":
+            # the baselines and the ff networks decide binary phases only
+            raise ConfigError(f"arch.phase_states: {self.arch.phase_states} phase levels "
+                              f"are supported by policy 'attention' only, not "
+                              f"{self.policy!r}, which decides binary phases")
         if self.aggregator is not None:
             if self.aggregator.ris_count != self.scenario.ris_count:
                 raise ConfigError("aggregator.ris_count: must match scenario.ris_count")

@@ -8,6 +8,7 @@ bounds; all returned SNRs are re-derived through the link evaluator.
 import numpy as np
 import pytest
 
+from evoris import baselines
 from evoris.baselines import (LgaParams, exhaustive_oracle, lga_solve,
                               random_baseline)
 from evoris.channel import ChannelSet
@@ -101,6 +102,110 @@ def test_lga_multi_ris_phase_split():
     assert all(p.shape == (3,) for p in res.phases)
     recomputed = snr(cs, res.phases, dft_codebook(2)[:, res.precoder_index], UNIT)
     assert abs(res.gamma - recomputed) < 1e-10 * max(recomputed, 1e-30)
+
+
+def per_beam_lga(cs, budget, codebook, params, rng, init=None):
+    """The genetic search one beam at a time, drawing as it goes: per beam the
+    initial population (or a copy of ``init``), then per generation a sort
+    and a breeding with its crossover points and flip uniforms."""
+    n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
+    p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
+    n_parents = params.n_parents if params.n_parents is not None \
+        else max(1, params.individuals // 2)
+    n_off = params.individuals - n_parents
+    base = np.conj(cs.h)
+    bt = np.concatenate([np.conj(h1) * np.conj(h2)[None, :]
+                         for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1).T
+    scale = budget.tx_power_w / budget.noise_power_w
+    best_gamma, best_flat, best_idx, evaluations = -1.0, None, -1, 0
+    for v_idx in range(codebook.shape[1]):
+        v = codebook[:, v_idx]
+        if init is not None:
+            pop = np.array(init, dtype=np.float64)
+        else:
+            pop = rng.integers(0, 2, size=(params.individuals, n_bits)) * 2.0 - 1.0
+        for _ in range(params.generations):
+            gammas = scale * np.abs((base[None, :] + (-pop) @ bt) @ v) ** 2
+            evaluations += params.individuals
+            order = np.argsort(-gammas, kind="stable")
+            pop, gammas = pop[order], gammas[order]
+            if gammas[0] > best_gamma:
+                best_gamma, best_flat, best_idx = float(gammas[0]), pop[0].copy(), v_idx
+            parents = pop[:n_parents]
+            children = np.empty((n_off, n_bits))
+            points = rng.integers(1, n_bits, size=n_off) if n_bits > 1 \
+                else np.zeros(n_off, dtype=np.int64)
+            for j in range(n_off):
+                c = int(points[j])
+                children[j, :c] = parents[j % n_parents][:c]
+                children[j, c:] = parents[(j + 1) % n_parents][c:]
+            flips = rng.random((n_off, n_bits)) < p_mut
+            pop[n_parents:] = np.where(flips, -children, children)
+    n = cs.h2_list[0].shape[0]
+    phases = [best_flat[k * n:(k + 1) * n] for k in range(cs.ris_count)]
+    return phases, best_idx, best_gamma, evaluations
+
+
+def lga_edge_cases():
+    """(channels, codebook, params, init): one and two surfaces, one element,
+    a blocked direct path, the smallest population, an ``init`` population,
+    p_mut 0 and 1, the default and a single parent, 1-5 generations."""
+    rng = make_rng(20)
+    cases = []
+    for i in range(48):
+        k = 1 + i % 2
+        n_ris = (1, 3, 16)[i % 3]
+        n_tx = (1, 2, 4)[(i // 3) % 3]
+        individuals = (2, 3, 15)[(i // 2) % 3]
+        params = LgaParams(individuals=individuals, generations=1 + i % 5,
+                           p_mut=(None, 0.0, 1.0, 0.3)[(i // 4) % 4],
+                           n_parents=individuals - 1 if i % 5 == 0 else None)
+        cs = random_channel_set(rng, n_tx, n_ris, k=k, direct=i % 4 != 0)
+        init = rng.integers(0, 2, (individuals, k * n_ris)) * 2.0 - 1.0 \
+            if i % 6 == 0 else None
+        cases.append((cs, dft_codebook(n_tx), params, init))
+    return cases
+
+
+@pytest.mark.parametrize("group_bytes", [baselines.LGA_GROUP_BYTES, 1, 1000])
+def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
+    # the stacked search against one beam at a time, in one group, one beam
+    # per group, and groups of a few beams
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
+    budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
+    for seed, (cs, cb, params, init) in enumerate(lga_edge_cases()):
+        rng_ref, rng = make_rng(100 + seed), make_rng(100 + seed)
+        phases, idx, gamma, evaluations = per_beam_lga(cs, budget, cb, params, rng_ref,
+                                                       init)
+        res = lga_solve(cs, budget, cb, params, rng, init=init)
+        got = [res.phases] if cs.ris_count == 1 else res.phases
+        assert res.gamma == gamma and res.precoder_index == idx
+        assert res.evaluations == evaluations
+        assert len(got) == len(phases)
+        assert all(np.array_equal(a, b) for a, b in zip(got, phases))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
+    def sizes(n_v, beam_bytes):
+        return [b - a for a, b in baselines._beam_groups(n_v, beam_bytes)]
+
+    # a paper-scale beam, 15 x 400 strings as complex, is 96 kB: one per group
+    assert sizes(16, 16 * 15 * 400) == [1] * 16
+    # every desk block is one group, one and two surfaces
+    assert sizes(4, 16 * 15 * 16) == [4] and sizes(4, 16 * 15 * 32) == [4]
+    # a beam over the budget still runs, alone
+    assert sizes(3, 2 * baselines.LGA_GROUP_BYTES) == [1, 1, 1]
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", 600_000)
+    assert sizes(16, 96_000) == [5, 5, 6]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lga_refuses_non_finite_channels(bad):
+    cs = random_channel_set(make_rng(23), 2, 4)
+    cs.h[0] = bad
+    with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
+        lga_solve(cs, UNIT, dft_codebook(2), LgaParams(), make_rng(24))
 
 
 def test_lga_params_validation():

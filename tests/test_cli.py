@@ -199,3 +199,16 @@ def test_bad_worker_count_is_one_error_line(config_path, tmp_path, monkeypatch, 
         argv += ["--param", "scenario.tx_power_dbm", "--values", "10"]
     assert main(argv) == 1
     assert one_error_line(capsys, out) == f"error: {source}"
+
+
+@pytest.mark.parametrize("policy", ["ff", "lga", "random", "oracle"])
+def test_phase_levels_of_a_binary_kind_are_one_error_line(config_path, tmp_path, capsys,
+                                                          policy):
+    data = yaml.safe_load(config_path.read_text())
+    data["arch"]["phase_states"] = 4
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(config_path), "--out", str(out),
+               "--policy", policy])
+    assert rc == 1
+    assert one_error_line(capsys, out).startswith("error: arch.phase_states: 4 ")

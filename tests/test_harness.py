@@ -88,6 +88,21 @@ def test_config_rejects_dim_mismatch():
     assert "arch.n_tx" in str(err.value)
 
 
+@pytest.mark.parametrize("policy", ["ff", "ff_cent", "lga", "random", "oracle"])
+def test_config_refuses_phase_levels_a_kind_cannot_decide(policy):
+    with pytest.raises(ConfigError) as err:
+        tiny_config(policy=policy, arch={"codebook_size": 2, "phase_states": 4})
+    assert str(err.value).startswith("arch.phase_states: 4 ")
+    assert repr(policy) in str(err.value)
+    # a sweep onto such a pairing is refused the same way
+    with pytest.raises(ConfigError, match="arch.phase_states"):
+        set_config_parameter(tiny_config(policy=policy), "arch.phase_states", 4)
+    # binary phases stay accepted, and so do more levels for the attention policy
+    assert tiny_config(policy=policy).arch.phase_states == 2
+    assert tiny_config(policy="attention",
+                       arch={"codebook_size": 2, "phase_states": 4}).arch.phase_states == 4
+
+
 def test_config_round_trip(tmp_path):
     cfg = tiny_config(policy="attention")
     path = tmp_path / "config.yaml"

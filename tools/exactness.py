@@ -1,4 +1,4 @@
-"""Digests of the three exactness runs, for comparing two checkouts.
+"""Digests of the exactness runs, for comparing two checkouts.
 
     python3 tools/exactness.py
 
@@ -33,8 +33,16 @@ argmax mode, one block at a time.  The ``decisions`` line digests its phases
 and precoder indices as above, and the ``precoder_probs`` line the
 little-endian float64 bytes of every block's precoder probabilities.  Two
 checkouts that print the same lines train, evaluate and decide bit for bit
-alike.  The library is imported from this checkout's ``src/``, with BLAS
-pinned to one thread.
+alike.
+
+Three lines cover the genetic-search baseline (``baselines.lga_solve``): the
+``metrics.csv`` of ``policy: lga`` on ``configs/single_ris_desk.yaml`` and on
+``configs/multi_ris_desk.yaml``, and a ``paper-single lga`` line, the SHA-256
+of ``lga_solve`` on the same 8 paper-scale blocks with the config's ``lga``
+settings and its evaluation policy stream: per block its phases
+(little-endian float64), precoder index (int64) and gamma (float64).  They
+print after the lines above, which keep their order.  The library is imported
+from this checkout's ``src/``, with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ RUNS = (
      {"generations": 2, "l_pop": 8}, 1),
     ("attention-multi_desk-workers2", "configs/multi_ris_desk.yaml", "attention",
      {"generations": 6}, 2),
+)
+# per-block baseline runs: (run name, config, policy); they write metrics only
+BASELINE_RUNS = (
+    ("lga-single_desk", "configs/single_ris_desk.yaml", "lga"),
+    ("lga-multi_desk", "configs/multi_ris_desk.yaml", "lga"),
 )
 # the pooled run and the one-process run whose digests it must repeat
 POOLED, SERIAL = "attention-multi_desk-workers2", "attention-multi_desk"
@@ -141,6 +154,27 @@ def paper_digests(harness) -> list[str]:
             f"paper-single precoder_probs {probs.hexdigest()}"]
 
 
+def paper_lga_digest(harness) -> str:
+    """The ``paper-single lga`` line."""
+    import numpy as np
+    from evoris.channel import sample_episodes
+    from evoris.numerics import derive_rng
+    from evoris.system import evaluation_codebook, link_budget_from
+
+    cfg = harness.load_config(ROOT / PAPER_CONFIG)
+    blocks, = sample_episodes(cfg.scenario, 1, PAPER_BLOCKS,
+                              derive_rng(cfg.seed, "eval", "channels"))
+    budget = link_budget_from(cfg.scenario)
+    codebook = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
+    rng = derive_rng(cfg.seed, "eval", "policy")
+    digest = hashlib.sha256()
+    for cs in blocks:
+        res = harness.lga_solve(cs, budget, codebook, cfg.lga, rng)
+        update_decision(digest, [res.phases], res.precoder_index)
+        digest.update(struct.pack("<d", res.gamma))
+    return f"paper-single lga {digest.hexdigest()}"
+
+
 def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[str]:
     out = tmp / name
     mapping = harness.config_to_mapping(harness.load_config(ROOT / config))
@@ -149,6 +183,8 @@ def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[
     mapping["evo"].update(evo)
     cfg = harness.config_from_mapping(mapping)
     harness.run_experiment(cfg, workers=workers)
+    if policy not in harness.TRAINED_KINDS:
+        return [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}"]
     genome_path = out / "train" / "best.genome"
     genome = genome_path.read_bytes()
     lines = [f"{name} metrics.csv {sha256((out / 'metrics.csv').read_bytes())}",
@@ -175,8 +211,12 @@ def main() -> int:
             digests[name] = [line.split(" ", 1)[1] for line in lines]
             for line in lines:
                 print(line, flush=True)
-    for line in paper_digests(harness):
-        print(line, flush=True)
+        for line in paper_digests(harness):
+            print(line, flush=True)
+        for name, config, policy in BASELINE_RUNS:
+            for line in run_digests(harness, name, config, policy, {}, 1, Path(tmp)):
+                print(line, flush=True)
+    print(paper_lga_digest(harness), flush=True)
     if digests[POOLED] != digests[SERIAL]:
         print(f"{POOLED} differs from {SERIAL}", file=sys.stderr)
         return 1
