@@ -306,18 +306,6 @@ def sample_episodes(cfg: ScenarioConfig, episodes: int, horizon: int,
             for _ in range(episodes)]
 
 
-def stack_real_imag(cs: ChannelSet):
-    """Real/imag stacking of all channels into the network's input layout.
-
-    Returns (h_tilde (2*N_TX,), list of H1_tilde (2*N_TX, N_RIS), list of
-    h2_tilde (2*N_RIS,)), real parts stacked above imaginary parts.
-    """
-    h_t = np.concatenate([cs.h.real, cs.h.imag])
-    h1_t = [np.vstack([m.real, m.imag]) for m in cs.h1_list]
-    h2_t = [np.concatenate([v.real, v.imag]) for v in cs.h2_list]
-    return h_t, h1_t, h2_t
-
-
 # -- scenario (de)serialization: plain mappings for the config files ---------
 
 def scenario_to_mapping(cfg: ScenarioConfig) -> dict:

@@ -58,6 +58,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name}: expected an integer, got {value!r}")
+        if not (isinstance(self.ff_hidden, (list, tuple)) and self.ff_hidden and all(
+                type(v) is int and v >= 1 for v in self.ff_hidden)):
+            raise ConfigError(f"ff_hidden: expected a list of positive integer layer "
+                              f"widths, got {self.ff_hidden!r}")
+        self.ff_hidden = tuple(self.ff_hidden)
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes: must be >= 1")
         if self.runs < 1:
@@ -105,7 +110,7 @@ METRIC_COLUMNS = ("run_id", "policy", "param_name", "param_value",
 
 def _build_section(name, factory, mapping):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{name}: expected a mapping")
+        raise ConfigError(f"{name}: expected a mapping, got {mapping!r}")
     try:
         return factory(mapping)
     except (TypeError, ValueError) as exc:
@@ -123,28 +128,23 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
     scenario = _build_section("scenario", scenario_from_mapping,
                               data.get("scenario", {}))
-    arch_map = dict(data.get("arch", {}))
-    arch_map.setdefault("n_tx", scenario.n_tx)
-    arch_map.setdefault("n_ris", scenario.n_ris)
-    arch_map.setdefault("codebook_size", scenario.n_tx)
-    arch = _build_section("arch", lambda m: ArchConfig(**m), arch_map)
+    arch = _build_section("arch", lambda m: ArchConfig(**{
+        "n_tx": scenario.n_tx, "n_ris": scenario.n_ris, "codebook_size": scenario.n_tx,
+        **m}), data.get("arch", {}))
     evo = _build_section("evo", lambda m: EvoParams(**m), data.get("evo", {}))
     lga = _build_section("lga", lambda m: LgaParams(**m), data.get("lga", {}))
 
     aggregator = None
     if data.get("aggregator") is not None:
-        agg_map = dict(data["aggregator"])
-        agg_map.setdefault("ris_count", scenario.ris_count)
-        agg_map.setdefault("codebook_size", arch.codebook_size)
-        aggregator = _build_section("aggregator", lambda m: AggregatorConfig(**m),
-                                    agg_map)
+        aggregator = _build_section("aggregator", lambda m: AggregatorConfig(**{
+            "ris_count": scenario.ris_count, "codebook_size": arch.codebook_size, **m}),
+            data["aggregator"])
 
     kwargs = {}
-    for key in ("policy", "eval_episodes", "seed", "runs", "out_dir", "oracle_cap"):
+    for key in ("policy", "eval_episodes", "seed", "runs", "out_dir", "ff_hidden",
+                "oracle_cap"):
         if key in data:
             kwargs[key] = data[key]
-    if "ff_hidden" in data:
-        kwargs["ff_hidden"] = tuple(int(v) for v in data["ff_hidden"])
     return ExperimentConfig(scenario=scenario, arch=arch, evo=evo, lga=lga,
                             aggregator=aggregator, **kwargs)
 
@@ -188,12 +188,6 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 # -- policy construction and evaluation --------------------------------------
 
-def _ff_config(cfg: ExperimentConfig, ris_count: int) -> FFConfig:
-    return FFConfig(n_tx=cfg.scenario.n_tx, n_ris=cfg.scenario.n_ris,
-                    codebook_size=cfg.arch.codebook_size, ris_count=ris_count,
-                    hidden=cfg.ff_hidden)
-
-
 def trained_policy_configs(cfg: ExperimentConfig):
     """(policy_cfg, agg_cfg) pair the configured policy kind trains with."""
     k = cfg.scenario.ris_count
@@ -203,13 +197,13 @@ def trained_policy_configs(cfg: ExperimentConfig):
         agg = cfg.aggregator or AggregatorConfig(ris_count=k,
                                                  codebook_size=cfg.arch.codebook_size)
         return cfg.arch, agg
-    if cfg.policy == "ff":
-        if k != 1:
-            raise ConfigError("policy: kind 'ff' drives a single RIS; "
-                              "use 'ff_cent' for multi-RIS scenarios")
-        return _ff_config(cfg, 1), None
-    if cfg.policy == "ff_cent":
-        return _ff_config(cfg, k), None
+    if cfg.policy == "ff" and k != 1:
+        raise ConfigError("policy: kind 'ff' drives a single RIS; "
+                          "use 'ff_cent' for multi-RIS scenarios")
+    if cfg.policy in ("ff", "ff_cent"):
+        return FFConfig(n_tx=cfg.scenario.n_tx, n_ris=cfg.scenario.n_ris,
+                        codebook_size=cfg.arch.codebook_size, ris_count=k,
+                        hidden=cfg.ff_hidden), None
     raise ConfigError(f"policy: {cfg.policy!r} is not a trained kind")
 
 

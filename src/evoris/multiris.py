@@ -9,9 +9,9 @@ weights, trained as one vector.
 
 ``rollout`` is the one episode-block evaluator of every trained policy:
 training fitness (single surface, bypass, or K agents plus the vote
-aggregator) and harness evaluation all go through it.  Attention policies
-run every step of an episode, and all K agents of a step, as one batched
-pass; the fully-connected benchmark keeps its per-step pass.
+aggregator) and harness evaluation all go through it.  Both network kinds
+run an episode's steps (times the K agents of an attention step) in the same
+batched passes, each scored by one stacked ``snr`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ScenarioConfig, sample_episodes
 from .numerics import relu, softmax_global
 from .policy import (ArchConfig, FFConfig, GenomeLayout, _memo_tx_ris_attention,
-                     ff_forward, forward, forward_steps, genome_layout, select_index)
+                     ff_forward_steps, forward, forward_steps, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
 
 
@@ -111,46 +111,49 @@ def aggregate_precoder(values_g5: np.ndarray, cfg: AggregatorConfig, votes,
     return select_index(probs, rng, mode), probs
 
 
-def split_joint_genome(values: np.ndarray, arch: ArchConfig,
-                       agg_cfg: AggregatorConfig | None):
+def split_joint_genome(values: np.ndarray, arch, agg_cfg: AggregatorConfig | None):
     """Split the concatenated (policy, aggregator) genome into its parts."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    n_policy = genome_layout(arch).size
+    n_policy = arch.genome_size
     n_total = n_policy + (agg_cfg.genome_size if agg_cfg is not None else 0)
     if values.size != n_total:
         raise ValueError(f"joint genome has {values.size} values, needs {n_total}")
-    if agg_cfg is None:
-        return values, None
-    return values[:n_policy], values[n_policy:]
+    return values[:n_policy], None if agg_cfg is None else values[n_policy:]
 
 
 # Working-set budget of one batched policy pass in ``rollout``.  An episode
-# goes through the network in the fewest near-equal passes whose rows
-# (steps times surfaces) fit in it at ``_step_bytes`` each.  A desk-scale row
-# (n_ris=16) counts 94 kB, so a pass takes up to 31 rows: a 50-step desk
-# episode runs in 2 passes on one surface and 4 on two.  On a 2 vCPU Xeon
-# with one BLAS thread, desk rollouts ran 10-35% faster at 26-32 rows per
-# pass than at 11-21, and one-surface episodes 37% slower again at 50 rows;
-# a 25-row pass peaks at ~1.4 MB (tracemalloc), within a 2 MiB L2 cache.  A
-# paper-scale row (9.1 MB) runs alone, where batching measured slower per
-# step.
+# goes through the network in the fewest near-equal passes whose rows (steps,
+# times surfaces for attention) fit in it at ``_step_bytes`` each.  A desk
+# attention row (n_ris=16) counts 94 kB, so a pass takes up to 31 rows: a
+# 50-step desk episode runs in 2 passes on one surface and 4 on two.  On a
+# 2 vCPU Xeon with one BLAS thread, those ran 10-35% faster at 26-32 rows per
+# pass than at 11-21, and one-surface episodes 37% slower again at 50 rows; a
+# 25-row pass peaks at ~1.4 MB (tracemalloc), within a 2 MiB L2 cache.  A
+# paper-scale row (9.1 MB) runs alone, where batching measured slower.  A desk
+# ``ff`` row (23 kB) runs a 50-step episode in one pass: 0.57x the time of
+# one-step passes, and level with 25-step ones.
 STEP_CHUNK_BYTES = 45 << 16
 
 
-def _step_bytes(arch: ArchConfig) -> int:
-    """Bytes a row counts against ``STEP_CHUNK_BYTES``: its attention scores
-    and the k k C (n_ris, d_cat) per-tap products of the widest conv layer.
-    A coarse size, the budget being set by measured pass times."""
-    return 8 * (arch.n_ris * arch.n_ris +
-                arch.n_ris * arch.d_cat * max(arch.conv_channels) * arch.conv_kernel ** 2)
+def _step_bytes(cfg) -> int:
+    """Bytes a row counts against ``STEP_CHUNK_BYTES``: for attention its scores
+    and the k k C (n_ris, d_cat) per-tap products of the widest conv layer, for
+    the fully-connected net its input and hidden activations.  A coarse size,
+    the budget being set by measured pass times."""
+    if isinstance(cfg, FFConfig):
+        return 8 * (cfg.input_size + sum(cfg.hidden))
+    return 8 * (cfg.n_ris * cfg.n_ris +
+                cfg.n_ris * cfg.d_cat * max(cfg.conv_channels) * cfg.conv_kernel ** 2)
 
 
-def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, steps,
+def _chunk_actions(g14, g5, arch, agg_cfg: AggregatorConfig | None, steps,
                    mode, rng, a_tx_ris: dict):
     """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass.
 
     ``a_tx_ris`` maps the ``id`` of each H1 array met so far in the block to
-    its TX-RIS attention row; this pass adds its new arrays in one memo call."""
+    its TX-RIS attention row; an attention pass adds its new ones in one memo call."""
+    if isinstance(arch, FFConfig):
+        return ff_forward_steps(g14, arch, steps, rng, mode)[:2]
     # row i * K + k holds surface k of step i
     h = np.stack([cs.h for cs in steps])
     h2 = np.stack([h2 for cs in steps for h2 in cs.h2_list])
@@ -172,59 +175,60 @@ def _chunk_actions(g14, g5, arch: ArchConfig, agg_cfg: AggregatorConfig | None, 
     return phases.reshape(len(steps), k, -1), idx
 
 
+def _step_shape(policy_cfg, agg_cfg, scenario, episodes) -> tuple[int, int]:
+    """Network rows per step (one for the fully-connected policy, one per agent)
+    and phase levels, once the configs and every step's surface count pass."""
+    if isinstance(policy_cfg, FFConfig):
+        if agg_cfg is not None:
+            raise ValueError("the fully-connected policy takes no aggregator")
+        k, rows, states, owner = policy_cfg.ris_count, 1, 2, "the policy's ris_count is"
+    elif agg_cfg is None:
+        k, rows, states = 1, 1, policy_cfg.phase_states
+        owner = "an attention policy without an aggregator takes"
+    elif agg_cfg.codebook_size != policy_cfg.codebook_size:
+        raise ValueError("aggregator and policy codebook sizes must agree")
+    elif agg_cfg.ris_count != scenario.ris_count:
+        raise ValueError("aggregator ris_count must match the scenario")
+    else:
+        k = rows = agg_cfg.ris_count
+        states, owner = policy_cfg.phase_states, "the aggregator's ris_count is"
+    bad = next((cs.ris_count for episode in episodes for cs in episode
+                if cs.ris_count != k), None)
+    if bad is not None:
+        raise ValueError(f"a step has {bad} surfaces, {owner} {k}")
+    return rows, states
+
+
 def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
             scenario: ScenarioConfig, episodes, mode: str = "argmax",
             policy_rng=None) -> list[np.ndarray]:
     """Per-step SNR of a trained policy over an episode block.
 
-    Returns one gamma vector per episode.  An attention policy without an
-    aggregator acts on the lone surface's channels (the single-RIS and
-    bypass case); with one, K agents vote and the aggregator picks the
-    precoder.  Every step must have the aggregator's surface count (one
-    without an aggregator), checked before the first pass.  An episode's
-    steps (times agents) are stacked and go through ``forward_steps`` in
-    passes of at most ``STEP_CHUNK_BYTES``, and one stacked ``snr`` call
-    scores each pass; phases, picks and gammas are bit-identical to calling
-    ``forward`` (or ``agent_act`` plus ``aggregate_precoder``) and ``snr``
+    Returns one gamma vector per episode.  A fully-connected policy acts on
+    all its surfaces' channels at once.  An attention policy without an
+    aggregator acts on the lone surface's channels (the single-RIS and bypass
+    case); with one, K agents vote and the aggregator picks the precoder.
+    Every step must carry the policy's surface count, checked before the
+    first pass.  An episode's steps (times agents) go through
+    ``ff_forward_steps`` or ``forward_steps`` in passes of at most
+    ``STEP_CHUNK_BYTES``, each scored by one stacked ``snr`` call; phases,
+    picks and gammas are bit-identical to one-block calls (``ff_forward``,
+    ``forward``, or ``agent_act`` plus ``aggregate_precoder``, then ``snr``)
     step by step.  Each H1 array's TX-RIS attention comes from the memo
     ``forward`` uses, in the first pass that meets it: a line-of-sight H1
     (shared, or equal copies in an imported trace) is attended once per
     surface and genome, a Ricean H1 once per step.  Sampling draws one
-    uniform per step from ``policy_rng`` with one call per pass, in step
-    order, which leaves the
-    stream where per-step draws would; argmax draws nothing.  The
-    fully-connected policy runs ``ff_forward`` step by step.
+    uniform per step from ``policy_rng``, one call per pass in step order,
+    which leaves the stream where per-step draws would; argmax draws nothing.
     """
     codebook = evaluation_codebook(scenario, policy_cfg.codebook_size)
     budget = link_budget_from(scenario)
     episodes = [list(episode) for episode in episodes]
-    gammas = []
-    if isinstance(policy_cfg, FFConfig):
-        for episode in episodes:
-            g = np.empty(len(episode))
-            for i, cs in enumerate(episode):
-                out = ff_forward(values, policy_cfg, cs, rng=policy_rng, mode=mode)
-                g[i] = snr(cs, out.phases, codebook[:, out.precoder_index], budget)
-            gammas.append(g)
-        return gammas
-    if not isinstance(policy_cfg, ArchConfig):
-        raise TypeError(f"unsupported policy config {type(policy_cfg).__name__}")
-
+    rows, states = _step_shape(policy_cfg, agg_cfg, scenario, episodes)
     g14, g5 = split_joint_genome(values, policy_cfg, agg_cfg)
-    if agg_cfg is not None and agg_cfg.codebook_size != policy_cfg.codebook_size:
-        raise ValueError("aggregator and policy codebook sizes must agree")
-    if agg_cfg is not None and agg_cfg.ris_count != scenario.ris_count:
-        raise ValueError("aggregator ris_count must match the scenario")
-    k = 1 if agg_cfg is None else agg_cfg.ris_count
-    bad = next((cs.ris_count for episode in episodes for cs in episode
-                if cs.ris_count != k), None)
-    if bad is not None and agg_cfg is None:
-        raise ValueError("the attention policy takes a single-RIS channel view; "
-                         "use an aggregator for several surfaces")
-    if bad is not None:
-        raise ValueError(f"a step has {bad} surfaces, the aggregator's ris_count is {k}")
-    chunk = max(1, STEP_CHUNK_BYTES // (k * _step_bytes(policy_cfg)))
+    chunk = max(1, STEP_CHUNK_BYTES // (rows * _step_bytes(policy_cfg)))
     a_tx_ris = {}
+    gammas = []
     for episode in episodes:
         g = np.empty(len(episode))
         # the fewest passes that fit the budget, near-equal in size
@@ -234,8 +238,7 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
             steps = episode[s:e]
             phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode,
                                          policy_rng, a_tx_ris)
-            g[s:e] = snr(steps, phases, [codebook[:, i] for i in idx], budget,
-                         policy_cfg.phase_states)
+            g[s:e] = snr(steps, phases, [codebook[:, i] for i in idx], budget, states)
         gammas.append(g)
     return gammas
 

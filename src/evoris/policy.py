@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, stack_real_imag
+from .channel import ChannelSet
 from .numerics import conv2d_same, layer_norm, relu, sign_pm1, softmax_global
 
 
@@ -431,38 +431,53 @@ def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
                         precoder_probs=probs[0])
 
 
+def ff_inputs(steps) -> np.ndarray:
+    """Benchmark inputs (B, input_size) of B ChannelSets: h, then per surface H1
+    (row by row) and h2, each channel's real parts above its imaginary parts."""
+    h = np.array([cs.h for cs in steps])
+    h1 = np.array([cs.h1_list for cs in steps])
+    h2 = np.array([cs.h2_list for cs in steps])
+    b, k = h1.shape[:2]
+    h1_t = np.concatenate([h1.real, h1.imag], axis=2).reshape(b, k, -1)
+    per_ris = np.concatenate([h1_t, h2.real, h2.imag], axis=-1)
+    return np.concatenate([h.real, h.imag, per_ris.reshape(b, -1)], axis=-1)
+
+
+def ff_forward_steps(w: np.ndarray, cfg: FFConfig, steps, rng=None,
+                     mode: str = "sample"):
+    """Benchmark pass over B ChannelSets at once: phases (B, ris_count, n_ris),
+    precoder indices (B,) and probs (B, V).  The trunk's (B, 1, n) @ (n, h)
+    products are one vector-matrix product per step, so each step has the bits
+    of a pass on it alone.  Sampling draws one uniform per step, in step order.
+    """
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    layout = ff_layout(cfg)
+    if w.size != layout.size:
+        raise ValueError(f"genome has {w.size} values, architecture needs {layout.size}")
+    x = ff_inputs(steps)[:, None]
+    if x.shape[-1] != cfg.input_size:
+        raise ValueError(f"a step has {x.shape[-1]} channel inputs, the architecture "
+                         f"({cfg.ris_count} RIS) takes {cfg.input_size}")
+    for i in range(len(cfg.hidden)):
+        x = relu(x @ layout.view(w, f"fc{i}.w") + layout.view(w, f"fc{i}.b"))
+    raw = np.tanh(x @ layout.view(w, "phase.w") + layout.view(w, "phase.b"))
+    logits = x @ layout.view(w, "prec.w") + layout.view(w, "prec.b")
+    probs = softmax_global(logits[:, 0], steps=True)
+    phases = sign_pm1(raw).reshape(len(steps), cfg.ris_count, cfg.n_ris)
+    return phases, select_index(probs, rng, mode), probs
+
+
 def ff_forward(w: np.ndarray, cfg: FFConfig, cs: ChannelSet,
                rng=None, mode: str = "sample") -> PolicyOutput:
     """Benchmark pass: every channel flattened into one input vector.
 
     Phases come out as (n_ris,) for a single RIS and (ris_count, n_ris)
     otherwise; the precoder pick follows the same sample/argmax contract
-    as the attention policy.
+    as the attention policy.  This is the one-step case of ``ff_forward_steps``.
     """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    layout = ff_layout(cfg)
-    if w.size != layout.size:
-        raise ValueError(f"genome has {w.size} values, architecture needs {layout.size}")
-    if cs.ris_count != cfg.ris_count:
-        raise ValueError(f"channel set has {cs.ris_count} RIS, config says {cfg.ris_count}")
-    h_t, h1_t, h2_t = stack_real_imag(cs)
-    parts = [h_t]
-    for m, v in zip(h1_t, h2_t):
-        parts.append(m.reshape(-1))
-        parts.append(v)
-    x = np.concatenate(parts)
-    if x.size != cfg.input_size:
-        raise ValueError("stacked channel size does not match the architecture")
-    for i in range(len(cfg.hidden)):
-        x = relu(x @ layout.view(w, f"fc{i}.w") + layout.view(w, f"fc{i}.b"))
-    raw = np.tanh(x @ layout.view(w, "phase.w") + layout.view(w, "phase.b"))
-    phases = sign_pm1(raw)
-    if cfg.ris_count > 1:
-        phases = phases.reshape(cfg.ris_count, cfg.n_ris)
-    logits = x @ layout.view(w, "prec.w") + layout.view(w, "prec.b")
-    probs = softmax_global(logits)
-    return PolicyOutput(phases=phases, precoder_index=select_index(probs, rng, mode),
-                        precoder_probs=probs)
+    phases, idx, probs = ff_forward_steps(w, cfg, [cs], rng, mode)
+    return PolicyOutput(phases=phases[0, 0] if cfg.ris_count == 1 else phases[0],
+                        precoder_index=int(idx[0]), precoder_probs=probs[0])
 
 
 # -- genome files ------------------------------------------------------------

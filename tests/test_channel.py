@@ -16,8 +16,7 @@ import pytest
 
 from evoris.channel import (ScenarioConfig, sample_channel_set, sample_episodes,
                             sample_ricean, scenario_from_mapping,
-                            scenario_to_mapping, steering_vector,
-                            stack_real_imag)
+                            scenario_to_mapping, steering_vector)
 from evoris.harness import load_config
 from evoris.numerics import make_rng
 
@@ -177,27 +176,6 @@ def test_planar_needs_square_count():
         small_scenario(n_ris=6, ris_geometry="planar")
     assert small_scenario(n_ris=6).resolved_ris_geometry() == "linear"
     assert small_scenario(n_ris=4).resolved_ris_geometry() == "planar"
-
-
-# -- stack_real_imag ----------------------------------------------------------
-
-def test_stack_real_imag_scalar_cases():
-    cs_like = sample_channel_set(small_scenario(n_tx=1, n_ris=1), make_rng(14))
-    cs_like.h = np.array([1 + 2j])
-    cs_like.h1_list = [np.array([[1j]])]
-    cs_like.h2_list = [np.array([0.5 - 0.5j])]
-    h_t, h1_t, h2_t = stack_real_imag(cs_like)
-    assert np.array_equal(h_t, [1.0, 2.0])
-    assert np.array_equal(h1_t[0], [[0.0], [1.0]])
-    assert np.array_equal(h2_t[0], [0.5, -0.5])
-
-
-def test_stack_real_imag_round_trip():
-    rng = make_rng(15)
-    cs = sample_channel_set(small_scenario(n_tx=2, n_ris=3, kappa_h1_db=5.0), rng)
-    _, h1_t, _ = stack_real_imag(cs)
-    rebuilt = h1_t[0][0:2, :] + 1j * h1_t[0][2:4, :]
-    assert np.array_equal(rebuilt, cs.h1_list[0])
 
 
 # -- scenario (de)serialization -----------------------------------------------

@@ -212,3 +212,19 @@ def test_phase_levels_of_a_binary_kind_are_one_error_line(config_path, tmp_path,
                "--policy", policy])
     assert rc == 1
     assert one_error_line(capsys, out).startswith("error: arch.phase_states: 4 ")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("arch", 7), ("aggregator", 5), ("ff_hidden", 5), ("ff_hidden", ["x"]),
+    ("ff_hidden", [0]), ("ff_hidden", [8.7]),
+])
+def test_malformed_config_field_is_one_error_line(config_path, tmp_path, capsys, field,
+                                                  value):
+    data = yaml.safe_load(config_path.read_text())
+    data[field] = value
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(config_path), "--out", str(out),
+               "--policy", "ff"])
+    assert rc == 1
+    assert one_error_line(capsys, out).startswith(f"error: {field}: ")

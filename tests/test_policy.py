@@ -18,7 +18,8 @@ from evoris.harness import load_config, trained_policy_configs
 from evoris.multiris import agent_act
 from evoris.numerics import make_rng
 from evoris.policy import (ArchConfig, FFConfig, PolicyOutput, attention_branch,
-                           cnn_forward, config_signature, ff_forward, ff_layout,
+                           cnn_forward, config_signature, ff_forward, ff_inputs,
+                           ff_layout,
                            forward, forward_steps, genome_layout, load_genome,
                            merge_branches, phase_head, precoder_head, save_genome,
                            select_index)
@@ -411,6 +412,34 @@ def test_forward_rejects_wrong_genome_length():
     h, h1, h2 = toy_channels(22)
     with pytest.raises(ValueError):
         forward(np.zeros(TOY.genome_size - 1), TOY, h, h1, h2, mode="argmax")
+
+
+# -- ff_inputs ----------------------------------------------------------------
+
+def test_ff_inputs_scalar_cases():
+    cs = ChannelSet(h=np.array([1 + 2j]), h1_list=[np.array([[1j]])],
+                    h2_list=[np.array([0.5 - 0.5j])])
+    assert np.array_equal(ff_inputs([cs]), [[1.0, 2.0, 0.0, 1.0, 0.5, -0.5]])
+
+
+def test_ff_inputs_round_trip():
+    # per step: h, then per surface H1 (real rows above imaginary rows) and h2
+    rng = make_rng(15)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    steps = [ChannelSet(h=cn(2), h1_list=[cn(2, 3), cn(2, 3)], h2_list=[cn(3), cn(3)])
+             for _ in range(2)]
+    x = ff_inputs(steps)
+    cfg = FFConfig(n_tx=2, n_ris=3, codebook_size=2, ris_count=2)
+    assert x.shape == (2, cfg.input_size)
+    for row, cs in zip(x, steps):
+        assert np.array_equal(row[:2] + 1j * row[2:4], cs.h)
+        for part, h1, h2 in zip(np.split(row[4:], 2), cs.h1_list, cs.h2_list):
+            h1_t = part[:12].reshape(4, 3)
+            assert np.array_equal(h1_t[:2] + 1j * h1_t[2:], h1)
+            assert np.array_equal(part[12:15] + 1j * part[15:], h2)
 
 
 # -- ff_forward ---------------------------------------------------------------

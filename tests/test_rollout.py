@@ -1,9 +1,10 @@
 """Tests for the batched episode rollout.
 
 Every case replays the episode block step by step through the per-block
-API (``forward``, or ``agent_act`` per surface plus ``aggregate_precoder``,
-then ``snr``) and requires bitwise equality of phases, picks, gammas and
-fitness, and that the sampling stream ends where per-step draws leave it.
+API (``ff_forward``, ``forward``, or ``agent_act`` per surface plus
+``aggregate_precoder``, then ``snr``) and requires bitwise equality of
+phases, picks, gammas and fitness, and that the sampling stream ends where
+per-step draws leave it.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ from evoris.harness import (export_channel_trace, import_channel_trace, load_con
 from evoris.multiris import (AggregatorConfig, agent_act, aggregate_precoder,
                              evaluate_fitness_multi, rollout, split_joint_genome)
 from evoris.numerics import make_rng
-from evoris.policy import ArchConfig, forward
+from evoris.policy import ArchConfig, FFConfig, ff_forward, forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
 
 ARCH = ArchConfig(n_tx=4, n_ris=8, codebook_size=4)
@@ -31,6 +32,8 @@ SCN_K2 = ScenarioConfig(n_tx=4, n_ris=8, ris_count=2,
                         ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
                         rx_position=(10.0, 10.0, 5.0), horizon=7, episodes=3)
 AGG_K2 = AggregatorConfig(ris_count=2, codebook_size=4)
+FF_K1 = FFConfig(n_tx=4, n_ris=8, codebook_size=4, hidden=(16, 12))
+FF_K2 = FFConfig(n_tx=4, n_ris=8, codebook_size=4, ris_count=2, hidden=(16, 12))
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # (case, policy config, aggregator config, scenario)
@@ -38,6 +41,23 @@ CASES = [("single", ARCH, None, SCN_K1),
          ("multi", ARCH_D, AGG_K2, SCN_K2),
          ("bypass", ARCH_D, None, SCN_K1),
          ("levels4", ARCH_L4, None, SCN_K1)]
+# the fully-connected policy on one surface and, centralized, on two
+FF_CASES = [("ff", FF_K1, None, SCN_K1),
+            ("ff_cent", FF_K2, None, SCN_K2)]
+
+
+def one_block(g14, g5, arch, agg_cfg, cs, rng, mode):
+    """One block through the per-block API: (phases, pick, precoder probs)."""
+    if isinstance(arch, FFConfig):
+        out = ff_forward(g14, arch, cs, rng=rng, mode=mode)
+    elif agg_cfg is None:
+        out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=rng, mode=mode)
+    else:
+        acts = [agent_act(g14, arch, cs.h, h1, h2)
+                for h1, h2 in zip(cs.h1_list, cs.h2_list)]
+        idx, probs = aggregate_precoder(g5, agg_cfg, [v for _, v in acts], rng, mode)
+        return [ph for ph, _ in acts], idx, probs
+    return out.phases, out.precoder_index, out.precoder_probs
 
 
 def replay(values, arch, agg_cfg, scenario, trace, mode, rng):
@@ -45,21 +65,12 @@ def replay(values, arch, agg_cfg, scenario, trace, mode, rng):
     cb = evaluation_codebook(scenario, arch.codebook_size)
     budget = link_budget_from(scenario)
     g14, g5 = split_joint_genome(values, arch, agg_cfg)
+    states = 2 if isinstance(arch, FFConfig) else arch.phase_states
     steps = []
     for episode in trace:
         for cs in episode:
-            if agg_cfg is None:
-                out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0],
-                              rng=rng, mode=mode)
-                phases, idx = out.phases, out.precoder_index
-            else:
-                acts = [agent_act(g14, arch, cs.h, h1, h2)
-                        for h1, h2 in zip(cs.h1_list, cs.h2_list)]
-                phases = [ph for ph, _ in acts]
-                idx, _ = aggregate_precoder(g5, agg_cfg, [v for _, v in acts], rng,
-                                            mode)
-            steps.append((phases, idx, snr(cs, phases, cb[:, idx], budget,
-                                           arch.phase_states)))
+            phases, idx, _ = one_block(g14, g5, arch, agg_cfg, cs, rng, mode)
+            steps.append((phases, idx, snr(cs, phases, cb[:, idx], budget, states)))
     return steps
 
 
@@ -106,12 +117,14 @@ def genome(arch, agg_cfg, seed):
 
 @pytest.mark.parametrize("chunk_steps", [None, 1, 3, 7])
 @pytest.mark.parametrize("mode", ["sample", "argmax"])
-@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES + FF_CASES,
+                         ids=[c[0] for c in CASES + FF_CASES])
 def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scenario,
                                           mode, chunk_steps):
     if chunk_steps is not None:
         # horizon 7 runs in 7 passes of one step, 3 passes of 2, 2 and 3
-        # steps, or one pass of the whole episode
+        # steps, or one pass of the whole episode; a fully-connected step is
+        # one row, an attention step one row per agent
         k = 1 if agg_cfg is None else agg_cfg.ris_count
         monkeypatch.setattr(multiris, "STEP_CHUNK_BYTES",
                             chunk_steps * k * multiris._step_bytes(arch))
@@ -138,7 +151,7 @@ def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scen
     total = 0.0
     for _, _, g in ref:
         total += g
-    if case == "single":
+    if case in ("single", "ff", "ff_cent"):
         fitness = evaluate_fitness(values, arch, scenario, 0, 0, policy_rng=make_rng(3),
                                    mode=mode, trace=trace)
     else:
@@ -148,7 +161,8 @@ def test_rollout_matches_per_block_replay(monkeypatch, case, arch, agg_cfg, scen
     assert fitness == total / len(ref)
 
 
-@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("case,arch,agg_cfg,scenario", CASES + FF_CASES,
+                         ids=[c[0] for c in CASES + FF_CASES])
 def test_rollout_stream_state_after_sampling(case, arch, agg_cfg, scenario):
     values = genome(arch, agg_cfg, 4)
     trace = unit_trace(scenario, 3, 7, 5)
@@ -175,21 +189,28 @@ def test_rollout_validation():
         rollout(genome(ARCH_D, AGG_K2, 12), ARCH_D, AGG_K2, SCN_K2, trace, "sample")
 
 
-@pytest.mark.parametrize("surfaces", [4, 1])
-def test_rollout_names_a_surface_count_mismatch_before_any_pass(monkeypatch, surfaces):
-    cfg = load_config(CONFIGS / "multi_ris_desk.yaml")
-    arch, agg_cfg = trained_policy_configs(cfg)
-    assert agg_cfg.ris_count == 2
+@pytest.mark.parametrize("kind,surfaces", [
+    ("attention", 4), ("attention", 1), ("ff", 2), ("ff_cent", 4), ("ff_cent", 1),
+], ids=["4", "1", "ff-2", "ff_cent-4", "ff_cent-1"])
+def test_rollout_names_a_surface_count_mismatch_before_any_pass(monkeypatch, kind,
+                                                                surfaces):
+    name = "single_ris_desk" if kind == "ff" else "multi_ris_desk"
+    cfg = load_config(CONFIGS / f"{name}.yaml")
+    cfg.policy = kind
+    policy_cfg, agg_cfg = trained_policy_configs(cfg)
+    owner = "the aggregator's ris_count is 2" if kind == "attention" else \
+        f"the policy's ris_count is {cfg.scenario.ris_count}"
     trace = sample_episodes(cfg.scenario, 2, 6, make_rng(13))
     last = trace[-1][-1]  # the only bad step, in the block's last pass
-    last.h1_list = (last.h1_list * 2)[:surfaces]
-    last.h2_list = (last.h2_list * 2)[:surfaces]
+    last.h1_list = (last.h1_list * 4)[:surfaces]
+    last.h2_list = (last.h2_list * 4)[:surfaces]
     passes = []
-    monkeypatch.setattr(multiris, "forward_steps",
-                        lambda *args, **kwargs: passes.append(args))
-    with pytest.raises(ValueError, match=f"a step has {surfaces} surfaces, the "
-                                         "aggregator's ris_count is 2"):
-        rollout(genome(arch, agg_cfg, 14), arch, agg_cfg, cfg.scenario, trace)
+    for network in ("forward_steps", "ff_forward_steps"):
+        monkeypatch.setattr(multiris, network,
+                            lambda *args, **kwargs: passes.append(args))
+    with pytest.raises(ValueError, match=f"a step has {surfaces} surfaces, {owner}$"):
+        rollout(genome(policy_cfg, agg_cfg, 14), policy_cfg, agg_cfg, cfg.scenario,
+                trace)
     assert passes == []
 
 
@@ -359,16 +380,185 @@ GOLDEN = {
     ]),
 }
 
+# The fully-connected policy's values, recorded the same way with the
+# step-by-step rollout that preceded its batched passes (``ff_forward`` and
+# ``snr`` per step), for FF_K1 on SCN_K1 and FF_K2 on SCN_K2.  Per case:
+# (fitness, the sampling stream's PCG64 state after the block, steps).
+FF_GOLDEN = {
+    ('ff', 'argmax'): ('0x1.d239ef8d49cc8p+31',
+                       '0xf38b68fdd16b0f8da7f7267aef605897', [
+        ('---+---+', 3, '0x1.c28aa7900734cp+31',
+         ('0x1.d9dd826d1c047p-4', '0x1.197df812b1fd1p-5',
+          '0x1.da4328ed7a206p-8', '0x1.af77e9df566b6p-1')),
+        ('+------+', 3, '0x1.313eec41c6d8ap+26',
+         ('0x1.4337297882e39p-4', '0x1.bf87c8cfcfa73p-4',
+          '0x1.7a8ea954d7c6fp-6', '0x1.93d3ac6c4ef07p-1')),
+        ('+--+---+', 3, '0x1.a00c30c8e0c08p+32',
+         ('0x1.ab9445ddd8dcap-8', '0x1.fcc8dab0afab6p-4',
+          '0x1.1da202d3225b3p-9', '0x1.bbf21a1b5b369p-1')),
+        ('+------+', 3, '0x1.5a2d95e1be91ep+30',
+         ('0x1.8fc66bc551cb2p-5', '0x1.3c849927002b8p-4',
+          '0x1.a6e02f39adb21p-7', '0x1.b8d78561e4271p-1')),
+        ('-----+-+', 3, '0x1.1f3a6ccfb5c3dp+30',
+         ('0x1.7ce6b218c4faap-5', '0x1.a92f2ca36edcep-4',
+          '0x1.c26b5b009ab98p-7', '0x1.ac0201de0369dp-1')),
+        ('---+---+', 3, '0x1.0ef2e9b1edc7fp+32',
+         ('0x1.3fe875e8e8833p-2', '0x1.1bc0d352072ebp-5',
+          '0x1.e8d9af3e55051p-7', '0x1.46ac511971f77p-1')),
+        ('---+--++', 3, '0x1.053934683b597p+30',
+         ('0x1.b681a0640c9a6p-4', '0x1.e49904aa7f2a7p-6',
+          '0x1.3f269e4754317p-7', '0x1.b50e69550d22ap-1')),
+        ('---+---+', 3, '0x1.3db470aefa106p+31',
+         ('0x1.0d222c32dc949p-2', '0x1.3e19f4277d51fp-4',
+          '0x1.00e5247fe64edp-5', '0x1.419d5919a3a69p-1')),
+        ('---+---+', 3, '0x1.b04a7b7db6b39p+30',
+         ('0x1.1c02651f33720p-2', '0x1.0292a44aad4d6p-2',
+          '0x1.4300e9fd39fa7p-4', '0x1.90aabc16d0c20p-2')),
+        ('---+---+', 3, '0x1.0694a3cc01fbap+34',
+         ('0x1.13020f9627097p-5', '0x1.d7df24eb6fb7ap-7',
+          '0x1.3b25298429dc4p-9', '0x1.e6353d496ba6bp-1')),
+        ('-------+', 3, '0x1.0ade329163b58p+32',
+         ('0x1.c8cca9c095aa6p-2', '0x1.381e24281344bp-6',
+          '0x1.e0823c8237712p-8', '0x1.0e17b5857021dp-1')),
+        ('++-+---+', 1, '0x1.223132747d1dap+30',
+         ('0x1.405aaae1df1fdp-3', '0x1.e4a00ea15b5bdp-2',
+          '0x1.a719c387511d6p-4', '0x1.116c2b0be0ccdp-2')),
+    ]),
+    ('ff', 'sample'): ('0x1.aba113970ffa5p+31',
+                       '0x294ca0fac209e0220d1a0377e3f65633', [
+        ('---+---+', 0, '0x1.28534545beedcp+26',
+         ('0x1.d9dd826d1c047p-4', '0x1.197df812b1fd1p-5',
+          '0x1.da4328ed7a206p-8', '0x1.af77e9df566b6p-1')),
+        ('+------+', 3, '0x1.313eec41c6d8ap+26',
+         ('0x1.4337297882e39p-4', '0x1.bf87c8cfcfa73p-4',
+          '0x1.7a8ea954d7c6fp-6', '0x1.93d3ac6c4ef07p-1')),
+        ('+--+---+', 3, '0x1.a00c30c8e0c08p+32',
+         ('0x1.ab9445ddd8dcap-8', '0x1.fcc8dab0afab6p-4',
+          '0x1.1da202d3225b3p-9', '0x1.bbf21a1b5b369p-1')),
+        ('+------+', 3, '0x1.5a2d95e1be91ep+30',
+         ('0x1.8fc66bc551cb2p-5', '0x1.3c849927002b8p-4',
+          '0x1.a6e02f39adb21p-7', '0x1.b8d78561e4271p-1')),
+        ('-----+-+', 1, '0x1.349fd830d976cp+30',
+         ('0x1.7ce6b218c4faap-5', '0x1.a92f2ca36edcep-4',
+          '0x1.c26b5b009ab98p-7', '0x1.ac0201de0369dp-1')),
+        ('---+---+', 3, '0x1.0ef2e9b1edc7fp+32',
+         ('0x1.3fe875e8e8833p-2', '0x1.1bc0d352072ebp-5',
+          '0x1.e8d9af3e55051p-7', '0x1.46ac511971f77p-1')),
+        ('---+--++', 3, '0x1.053934683b597p+30',
+         ('0x1.b681a0640c9a6p-4', '0x1.e49904aa7f2a7p-6',
+          '0x1.3f269e4754317p-7', '0x1.b50e69550d22ap-1')),
+        ('---+---+', 0, '0x1.3ab93cc2fd098p+32',
+         ('0x1.0d222c32dc949p-2', '0x1.3e19f4277d51fp-4',
+          '0x1.00e5247fe64edp-5', '0x1.419d5919a3a69p-1')),
+        ('---+---+', 3, '0x1.b04a7b7db6b39p+30',
+         ('0x1.1c02651f33720p-2', '0x1.0292a44aad4d6p-2',
+          '0x1.4300e9fd39fa7p-4', '0x1.90aabc16d0c20p-2')),
+        ('---+---+', 3, '0x1.0694a3cc01fbap+34',
+         ('0x1.13020f9627097p-5', '0x1.d7df24eb6fb7ap-7',
+          '0x1.3b25298429dc4p-9', '0x1.e6353d496ba6bp-1')),
+        ('-------+', 0, '0x1.7ad2c8ecb1e65p+30',
+         ('0x1.c8cca9c095aa6p-2', '0x1.381e24281344bp-6',
+          '0x1.e0823c8237712p-8', '0x1.0e17b5857021dp-1')),
+        ('++-+---+', 1, '0x1.223132747d1dap+30',
+         ('0x1.405aaae1df1fdp-3', '0x1.e4a00ea15b5bdp-2',
+          '0x1.a719c387511d6p-4', '0x1.116c2b0be0ccdp-2')),
+    ]),
+    ('ff_cent', 'argmax'): ('0x1.953b52d9a7537p+32',
+                            '0xf38b68fdd16b0f8da7f7267aef605897', [
+        ('+++-+++-++--+++-', 2, '0x1.343b956fe3a46p+25',
+         ('0x1.be63b0c45904ap-7', '0x1.34c6bad4ca7bfp-4',
+          '0x1.d234514959549p-1', '0x1.ca44c7dfbf449p-12')),
+        ('+-+---+----++-+-', 2, '0x1.2cf53cca59b9cp+34',
+         ('0x1.df86d212ab122p-2', '0x1.a359859e0ff70p-6',
+          '0x1.01f2f6e5ac769p-1', '0x1.2ed3e40d80a90p-9')),
+        ('-+----+--+-++-+-', 1, '0x1.b195a6ac8cdaep+33',
+         ('0x1.39d81f792d49fp-2', '0x1.04da06a3ccde6p-1',
+          '0x1.0135fbaa74653p-3', '0x1.dec6ab4ff6361p-5')),
+        ('+-+---+-+-+++-+-', 2, '0x1.6ac136c1c6f3dp+29',
+         ('0x1.2ee5d82296754p-5', '0x1.b00cd24c55a1dp-4',
+          '0x1.b4c8df4df5275p-1', '0x1.2394732b5e882p-8')),
+        ('+-----+--++++-+-', 2, '0x1.d43ffa42107c5p+31',
+         ('0x1.8c08e695fc1d2p-3', '0x1.44510c9367608p-2',
+          '0x1.e308a0023d300p-2', '0x1.2a1e01f5d60dcp-6')),
+        ('-+-++-+-++--+++-', 2, '0x1.4804b0c6f6383p+33',
+         ('0x1.01678e5067673p-2', '0x1.271a0ee35bfe3p-2',
+          '0x1.78b00e6d4aa57p-2', '0x1.7b39517bc7d51p-4')),
+        ('------+----++-+-', 0, '0x1.2aff6494ecd3bp+33',
+         ('0x1.7b8c16db6dc08p-1', '0x1.17f64e36e59f0p-3',
+          '0x1.f1119aabf11e6p-4', '0x1.5089056acfb76p-11')),
+        ('+++--++-++-++++-', 2, '0x1.0e79643c6453fp+33',
+         ('0x1.db4369b48831bp-4', '0x1.1ff4aef8b46abp-4',
+          '0x1.9a5dd64ddde86p-1', '0x1.8ec9a71ea1080p-7')),
+        ('+-----+-++++-+++', 0, '0x1.16987571c7a6ap+30',
+         ('0x1.d79e136a35eddp-1', '0x1.435cbd9327574p-7',
+          '0x1.177d9b6a4a075p-4', '0x1.9318c8d0cfa00p-11')),
+        ('+-----+-++-++---', 1, '0x1.ea5be916413c1p+23',
+         ('0x1.31beac3d49586p-2', '0x1.647de1e9d1d77p-2',
+          '0x1.bd0fede5ed3a7p-3', '0x1.1676f5cbdc65cp-3')),
+        ('+-+-+-+----++++-', 2, '0x1.b40fcc9016638p+31',
+         ('0x1.de7670118e5cdp-2', '0x1.ec59db239a35dp-5',
+          '0x1.dec2e7b9124e1p-2', '0x1.4edb343b03a04p-8')),
+        ('+++-+-+-+-+-+++-', 2, '0x1.aa48e1c39f6bfp+32',
+         ('0x1.fc7b4cca11edap-4', '0x1.830a4a28c3acep-2',
+          '0x1.fa59b4a2a53efp-2', '0x1.be9701094c73fp-9')),
+    ]),
+    ('ff_cent', 'sample'): ('0x1.173b2381c0e5bp+33',
+                            '0x294ca0fac209e0220d1a0377e3f65633', [
+        ('+++-+++-++--+++-', 1, '0x1.11da5d828eeb3p+33',
+         ('0x1.be63b0c45904ap-7', '0x1.34c6bad4ca7bfp-4',
+          '0x1.d234514959549p-1', '0x1.ca44c7dfbf449p-12')),
+        ('+-+---+----++-+-', 0, '0x1.18776d917f02dp+27',
+         ('0x1.df86d212ab122p-2', '0x1.a359859e0ff70p-6',
+          '0x1.01f2f6e5ac769p-1', '0x1.2ed3e40d80a90p-9')),
+        ('-+----+--+-++-+-', 1, '0x1.b195a6ac8cdaep+33',
+         ('0x1.39d81f792d49fp-2', '0x1.04da06a3ccde6p-1',
+          '0x1.0135fbaa74653p-3', '0x1.dec6ab4ff6361p-5')),
+        ('+-+---+-+-+++-+-', 2, '0x1.6ac136c1c6f3dp+29',
+         ('0x1.2ee5d82296754p-5', '0x1.b00cd24c55a1dp-4',
+          '0x1.b4c8df4df5275p-1', '0x1.2394732b5e882p-8')),
+        ('+-----+--++++-+-', 0, '0x1.9b43efe36d0bfp+31',
+         ('0x1.8c08e695fc1d2p-3', '0x1.44510c9367608p-2',
+          '0x1.e308a0023d300p-2', '0x1.2a1e01f5d60dcp-6')),
+        ('-+-++-+-++--+++-', 1, '0x1.4a334ef76da8ap+33',
+         ('0x1.01678e5067673p-2', '0x1.271a0ee35bfe3p-2',
+          '0x1.78b00e6d4aa57p-2', '0x1.7b39517bc7d51p-4')),
+        ('------+----++-+-', 0, '0x1.2aff6494ecd3bp+33',
+         ('0x1.7b8c16db6dc08p-1', '0x1.17f64e36e59f0p-3',
+          '0x1.f1119aabf11e6p-4', '0x1.5089056acfb76p-11')),
+        ('+++--++-++-++++-', 1, '0x1.66a29ebfbc575p+35',
+         ('0x1.db4369b48831bp-4', '0x1.1ff4aef8b46abp-4',
+          '0x1.9a5dd64ddde86p-1', '0x1.8ec9a71ea1080p-7')),
+        ('+-----+-++++-+++', 0, '0x1.16987571c7a6ap+30',
+         ('0x1.d79e136a35eddp-1', '0x1.435cbd9327574p-7',
+          '0x1.177d9b6a4a075p-4', '0x1.9318c8d0cfa00p-11')),
+        ('+-----+-++-++---', 0, '0x1.74f2cae616e16p+32',
+         ('0x1.31beac3d49586p-2', '0x1.647de1e9d1d77p-2',
+          '0x1.bd0fede5ed3a7p-3', '0x1.1676f5cbdc65cp-3')),
+        ('+-+-+-+----++++-', 0, '0x1.e914a78a2b624p+28',
+         ('0x1.de7670118e5cdp-2', '0x1.ec59db239a35dp-5',
+          '0x1.dec2e7b9124e1p-2', '0x1.4edb343b03a04p-8')),
+        ('+++-+-+-+-+-+++-', 2, '0x1.aa48e1c39f6bfp+32',
+         ('0x1.fc7b4cca11edap-4', '0x1.830a4a28c3acep-2',
+          '0x1.fa59b4a2a53efp-2', '0x1.be9701094c73fp-9')),
+    ]),
+}
+
 
 def signs(phases):
     return "".join("+" if p > 0 else "-" for p in np.asarray(phases).ravel())
 
 
-@pytest.mark.parametrize("case,mode", list(GOLDEN), ids=[f"{c}-{m}" for c, m in GOLDEN])
+@pytest.mark.parametrize("case,mode", list(GOLDEN) + list(FF_GOLDEN),
+                         ids=[f"{c}-{m}" for c, m in list(GOLDEN) + list(FF_GOLDEN)])
 def test_rollout_and_forward_match_recorded_values(monkeypatch, case, mode):
     arch, agg_cfg, scenario = {"single": (ARCH, None, SCN_K1),
-                               "multi": (ARCH_D, AGG_K2, SCN_K2)}[case]
-    want_fitness, want = GOLDEN[(case, mode)]
+                               "multi": (ARCH_D, AGG_K2, SCN_K2),
+                               "ff": (FF_K1, None, SCN_K1),
+                               "ff_cent": (FF_K2, None, SCN_K2)}[case]
+    if (case, mode) in FF_GOLDEN:
+        want_fitness, want_state, want = FF_GOLDEN[(case, mode)]
+    else:
+        (want_fitness, want), want_state = GOLDEN[(case, mode)], None
     values = genome(arch, agg_cfg, 1)
     trace = unit_trace(scenario, 3, 4, 2)
     g14, g5 = split_joint_genome(values, arch, agg_cfg)
@@ -376,26 +566,22 @@ def test_rollout_and_forward_match_recorded_values(monkeypatch, case, mode):
     rng = make_rng(3)
     for cs, (want_signs, want_idx, _, want_probs) in zip(
             [cs for episode in trace for cs in episode], want):
-        if agg_cfg is None:
-            out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=rng,
-                          mode=mode)
-            phases, idx, probs = out.phases, out.precoder_index, out.precoder_probs
-        else:
-            acts = [agent_act(g14, arch, cs.h, h1, h2)
-                    for h1, h2 in zip(cs.h1_list, cs.h2_list)]
-            phases = [ph for ph, _ in acts]
-            idx, probs = aggregate_precoder(g5, agg_cfg, [v for _, v in acts], rng, mode)
+        phases, idx, probs = one_block(g14, g5, arch, agg_cfg, cs, rng, mode)
         assert (signs(phases), idx) == (want_signs, want_idx)
         assert [float(p).hex() for p in probs] == list(want_probs)
 
     cb = evaluation_codebook(scenario, arch.codebook_size)
+    got_rng = make_rng(3)
     gammas, calls, _ = recorded_rollout(monkeypatch, values, arch, agg_cfg, scenario,
-                                        trace, mode, make_rng(3))
+                                        trace, mode, got_rng)
     assert [(signs(phases), float(gamma).hex()) for phases, _, gamma in calls] == \
         [(s, g) for s, _, g, _ in want]
     assert [np.flatnonzero((cb == v[:, None]).all(axis=0))[0] for _, v, _ in calls] == \
         [idx for _, idx, _, _ in want]
     assert [g.hex() for g in np.concatenate(gammas).tolist()] == [g for _, _, g, _ in want]
+    if want_state is not None:
+        for stream in (rng, got_rng):
+            assert hex(stream.bit_generator.state["state"]["state"]) == want_state
 
     if agg_cfg is None:
         fitness = evaluate_fitness(values, arch, scenario, 0, 0, policy_rng=make_rng(3),

@@ -41,8 +41,12 @@ Three lines cover the genetic-search baseline (``baselines.lga_solve``): the
 of ``lga_solve`` on the same 8 paper-scale blocks with the config's ``lga``
 settings and its evaluation policy stream: per block its phases
 (little-endian float64), precoder index (int64) and gamma (float64).  They
-print after the lines above, which keep their order.  The library is imported
-from this checkout's ``src/``, with BLAS pinned to one thread.
+print after the lines above, which keep their order.
+
+Last come the four lines of the centralized fully-connected policy,
+``ff_cent`` on ``configs/multi_ris_desk.yaml`` (2 generations, ``l_pop`` 8),
+digested as the ``ff`` run is.  The library is imported from this checkout's
+``src/``, with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -74,6 +78,9 @@ BASELINE_RUNS = (
     ("lga-single_desk", "configs/single_ris_desk.yaml", "lga"),
     ("lga-multi_desk", "configs/multi_ris_desk.yaml", "lga"),
 )
+# a trained run whose lines print after all of the above
+FF_CENT_RUN = ("ff_cent-multi_desk", "configs/multi_ris_desk.yaml", "ff_cent",
+               {"generations": 2, "l_pop": 8}, 1)
 # the pooled run and the one-process run whose digests it must repeat
 POOLED, SERIAL = "attention-multi_desk-workers2", "attention-multi_desk"
 HISTORY_COLUMNS = ("generation", "best_fitness", "mean_fitness")
@@ -216,7 +223,9 @@ def main() -> int:
         for name, config, policy in BASELINE_RUNS:
             for line in run_digests(harness, name, config, policy, {}, 1, Path(tmp)):
                 print(line, flush=True)
-    print(paper_lga_digest(harness), flush=True)
+        print(paper_lga_digest(harness), flush=True)
+        for line in run_digests(harness, *FF_CENT_RUN, Path(tmp)):
+            print(line, flush=True)
     if digests[POOLED] != digests[SERIAL]:
         print(f"{POOLED} differs from {SERIAL}", file=sys.stderr)
         return 1
