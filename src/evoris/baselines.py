@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
+from .numerics import require_count, require_real
 from .system import LinkBudget
 
 
@@ -32,6 +33,12 @@ class LgaParams:
     n_parents: int | None = None
 
     def __post_init__(self):
+        require_count("individuals", self.individuals)
+        require_count("generations", self.generations)
+        if self.p_mut is not None:
+            require_real("p_mut", self.p_mut)
+        if self.n_parents is not None:
+            require_count("n_parents", self.n_parents)
         if self.individuals < 2:
             raise ValueError("individuals must be >= 2")
         if self.generations < 1:
@@ -64,17 +71,24 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
     return [flat[k * n:(k + 1) * n].copy() for k in range(cs.ris_count)]
 
 
-# Bytes of one group's population cast to complex for its cascade product,
-# (beams, individuals, n_bits) complex128.  A block's beams are searched in
-# the fewest near-equal groups under it.  Every desk block (<= 31 kB) is one
-# group.  A paper-scale beam (individuals 15, n_bits 400) takes 96 kB, so it
-# runs alone.  On a 2 vCPU Xeon with one BLAS thread (medians of 10-40
-# interleaved rounds of 10 paper blocks, against the one-beam-at-a-time
-# search): one beam per group ran at 0.96-0.98 with 0-110 minor page faults
-# per block, groups of 4 (384 kB) at 0.84-1.06 with ~400-500, and all 16
-# beams (1.5 MB) at 1.2-1.5 with ~1300.  Groups of 4 were no faster and
-# fault more, so the budget keeps a paper-scale beam alone.
-LGA_GROUP_BYTES = 1 << 17
+# Bytes a group may hold, counted per beam by ``_beam_bytes``.  A block's
+# beams are searched in the fewest near-equal groups under it.  Every desk
+# block (<= 48 kB) is one group; a paper-scale beam (individuals 15, n_bits
+# 400, 5 generations) holds 150 kB, so the 16 paper beams run in four groups
+# of four.  On a 2 vCPU Xeon with one BLAS thread (``tools/ab.py --paper
+# --paths lga``, 10 rounds of 50 paper blocks; time over that of the
+# full-cascade search this one replaced, which ran paper beams one at a
+# time), one beam per group ran at 0.73, two at 0.61, four at 0.58, eight at
+# 0.57 and all 16 at 0.57, with traced peaks of 0.6, 0.9, 1.4, 2.4 and
+# 3.6 MB.  Four are as fast as more, in less memory.
+LGA_GROUP_BYTES = 640 << 10
+
+
+def _beam_bytes(n_ind: int, n_off: int, n_gen: int, n_bits: int) -> int:
+    """Bytes one beam adds to a group: the population and its ranked copy
+    (float64), the crossover masks and flips (bool), the best string of each
+    generation (float64) and the projected cascade's real and imaginary parts."""
+    return 8 * n_bits * (2 * n_ind + n_gen + 2) + 2 * n_gen * n_off * n_bits
 
 
 def _beam_groups(n_v: int, beam_bytes: int) -> list[tuple[int, int]]:
@@ -95,6 +109,12 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     ties broken toward the lowest precoder index and then the earliest
     generation.  ``init`` optionally seeds each per-beam search with a fixed
     starting population.
+
+    With the beam v fixed, a string of phases p reflects with coefficients
+    -p, and its SNR is ``scale * |b0 - p @ z|^2`` with ``b0 = conj(h) @ v``
+    and the projected cascade ``z = B^T v`` (n_bits values; Zhang et al.,
+    IEEE JSTSP 2022), so each beam's fitness takes two real products of its
+    population with z's real and imaginary parts.
 
     No draw depends on a fitness, so each group of beams (see
     ``LGA_GROUP_BYTES``) makes all of its draws first, beam by beam: the
@@ -119,8 +139,9 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
         if not np.all(np.isin(init, (-1.0, 1.0))):
             raise ValueError("init population entries must be -1 or +1")
 
-    base = np.conj(cs.h)
-    bt = _cascade_matrix(cs).T
+    # row 0 projects a beam onto the direct path (b0), the rest onto the
+    # cascade (z)
+    proj = np.vstack([np.conj(cs.h), _cascade_matrix(cs).T])
     scale = budget.tx_power_w / budget.noise_power_w
     # child j crosses the rank-ordered parents j and j + 1 (cyclically)
     p1 = np.arange(n_off) % n_parents
@@ -129,7 +150,7 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
 
     n_v = codebook.shape[1]
     best_gamma, best_flat, best_idx = -1.0, None, -1
-    for a, b in _beam_groups(n_v, 16 * n_ind * n_bits):
+    for a, b in _beam_groups(n_v, _beam_bytes(n_ind, n_off, n_gen, n_bits)):
         g = b - a
         pop = np.empty((g, n_ind, n_bits))
         points = np.zeros((g, n_gen, n_off), dtype=np.int64)
@@ -145,19 +166,20 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
                     points[i, gen] = rng.integers(1, n_bits, size=n_off)
                 np.less(rng.random((n_off, n_bits)), p_mut, out=flips[i, gen])
         second = bit >= points[..., None]
-        # (g, n_tx, 1): each beam's column keeps the strides of
-        # codebook[:, v_idx], so its product takes a one-column product's path
-        v = codebook[:, a:b].T[:, :, None]
+        # each beam's column keeps the strides of codebook[:, v], so its
+        # projection is the one-column product a beam searched alone makes
+        bz = np.matmul(proj, codebook[:, a:b].T[:, :, None])
+        b0 = bz[:, 0]
+        z_re = np.ascontiguousarray(bz[:, 1:].real)
+        z_im = np.ascontiguousarray(bz[:, 1:].imag)
         rows = np.arange(g)[:, None] * n_ind
-        coefs = np.empty(pop.shape, dtype=np.complex128)
         ranked = np.empty_like(pop)
         tops = np.empty((g, n_gen))
         firsts = np.empty((g, n_gen, n_bits))
         for gen in range(n_gen):
-            # population rows are phases; they reflect with coefficient -phase
-            np.negative(pop, out=coefs)
-            m = base + coefs @ bt
-            gammas = scale * np.abs(np.matmul(m, v)[..., 0]) ** 2
+            re = b0.real - np.matmul(pop, z_re)[..., 0]
+            im = b0.imag - np.matmul(pop, z_im)[..., 0]
+            gammas = scale * (re * re + im * im)
             order = rows + np.argsort(-gammas, axis=1, kind="stable")
             pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
             pop, ranked = ranked, pop

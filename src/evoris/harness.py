@@ -23,7 +23,7 @@ from .cosyne import EvoParams, resolve_workers, train
 from .multiris import AggregatorConfig, rollout
 # bench/run.py traces these two names here; trained kinds reach them via rollout
 from .multiris import agent_act, aggregate_precoder  # noqa: F401
-from .numerics import derive_rng, derive_seed
+from .numerics import FieldError, derive_rng, derive_seed
 from .policy import ArchConfig, FFConfig, load_genome
 from .system import evaluation_codebook, link_budget_from, snr
 
@@ -113,6 +113,8 @@ def _build_section(name, factory, mapping):
         raise ConfigError(f"{name}: expected a mapping, got {mapping!r}")
     try:
         return factory(mapping)
+    except FieldError as exc:
+        raise ConfigError(f"{name}.{exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 

@@ -9,10 +9,29 @@ PCG64 bit generator, never through module-level state.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
+
+
+class FieldError(ValueError):
+    """A settings field holds a value of the wrong kind; the message opens
+    with the field's name, so a config section can prefix its own."""
+
+
+def require_count(name: str, value) -> None:
+    """Refuse a count ``value`` that is not an int (bools are not counts)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FieldError(f"{name}: expected an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Refuse a rate ``value`` that is not a finite int or float (nor a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise FieldError(f"{name}: expected a finite real number, got {value!r}")
 
 
 def make_rng(seed: int) -> np.random.Generator:

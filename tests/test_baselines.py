@@ -5,15 +5,21 @@ itself is checked against analytic scalar cases and random sampling lower
 bounds; all returned SNRs are re-derived through the link evaluator.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from evoris import baselines
 from evoris.baselines import (LgaParams, exhaustive_oracle, lga_solve,
                               random_baseline)
-from evoris.channel import ChannelSet
-from evoris.numerics import make_rng
-from evoris.system import LinkBudget, dft_codebook, snr
+from evoris.channel import ChannelSet, sample_episodes
+from evoris.harness import load_config
+from evoris.numerics import derive_rng, make_rng
+from evoris.system import (LinkBudget, dft_codebook, evaluation_codebook,
+                           link_budget_from, snr)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 UNIT = LinkBudget(tx_power_w=1.0, noise_power_w=1.0)
 
@@ -107,25 +113,28 @@ def test_lga_multi_ris_phase_split():
 def per_beam_lga(cs, budget, codebook, params, rng, init=None):
     """The genetic search one beam at a time, drawing as it goes: per beam the
     initial population (or a copy of ``init``), then per generation a sort
-    and a breeding with its crossover points and flip uniforms."""
+    and a breeding with its crossover points and flip uniforms.  Fitness is
+    the projected form ``scale * |b0 - pop @ z|^2`` that ``lga_solve`` uses."""
     n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, params.individuals // 2)
     n_off = params.individuals - n_parents
-    base = np.conj(cs.h)
     bt = np.concatenate([np.conj(h1) * np.conj(h2)[None, :]
                          for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1).T
     scale = budget.tx_power_w / budget.noise_power_w
     best_gamma, best_flat, best_idx, evaluations = -1.0, None, -1, 0
     for v_idx in range(codebook.shape[1]):
-        v = codebook[:, v_idx]
+        # the beam's direct term b0 and projected cascade z, one product
+        bz = np.vstack([np.conj(cs.h), bt]) @ codebook[:, v_idx]
+        b0, z_re, z_im = bz[0], bz[1:].real.copy(), bz[1:].imag.copy()
         if init is not None:
             pop = np.array(init, dtype=np.float64)
         else:
             pop = rng.integers(0, 2, size=(params.individuals, n_bits)) * 2.0 - 1.0
         for _ in range(params.generations):
-            gammas = scale * np.abs((base[None, :] + (-pop) @ bt) @ v) ** 2
+            re, im = b0.real - pop @ z_re, b0.imag - pop @ z_im
+            gammas = scale * (re * re + im * im)
             evaluations += params.individuals
             order = np.argsort(-gammas, kind="stable")
             pop, gammas = pop[order], gammas[order]
@@ -190,14 +199,72 @@ def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
     def sizes(n_v, beam_bytes):
         return [b - a for a, b in baselines._beam_groups(n_v, beam_bytes)]
 
-    # a paper-scale beam, 15 x 400 strings as complex, is 96 kB: one per group
-    assert sizes(16, 16 * 15 * 400) == [1] * 16
+    # a paper-scale beam (15 strings of 400 bits, 8 offspring, 5 generations)
+    # holds 150.4 kB: four groups of four
+    paper = baselines._beam_bytes(15, 8, 5, 400)
+    assert paper == 8 * 400 * (2 * 15 + 5 + 2) + 2 * 5 * 8 * 400 == 150_400
+    assert sizes(16, paper) == [4] * 4
     # every desk block is one group, one and two surfaces
-    assert sizes(4, 16 * 15 * 16) == [4] and sizes(4, 16 * 15 * 32) == [4]
+    assert sizes(4, baselines._beam_bytes(15, 8, 5, 16)) == [4]
+    assert sizes(4, baselines._beam_bytes(15, 8, 5, 32)) == [4]
     # a beam over the budget still runs, alone
     assert sizes(3, 2 * baselines.LGA_GROUP_BYTES) == [1, 1, 1]
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", 600_000)
     assert sizes(16, 96_000) == [5, 5, 6]
+
+
+def searched_gammas(cs, budget, codebook, pop):
+    """(strings, beams) SNRs as the search scores them: each string, twice, as
+    the ``init`` population of a one-generation search on one beam."""
+    params = LgaParams(individuals=2, generations=1)
+    return np.array([[lga_solve(cs, budget, codebook[:, v:v + 1], params, make_rng(0),
+                                init=np.stack([s, s])).gamma
+                      for v in range(codebook.shape[1])] for s in pop])
+
+
+def full_cascade_gammas(cs, budget, codebook, pop):
+    """scale * |(conj(h) + (-pop) @ B^T) @ v|^2, the full n_tx-wide effective
+    channel of each string projected on each beam; and per beam, scale times
+    the squared sum of the magnitudes of the terms of b0 and z = B^T v, the
+    size that rounding in either form is relative to."""
+    bt = np.concatenate([np.conj(h1) * np.conj(h2)[None, :]
+                         for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1).T
+    scale = budget.tx_power_w / budget.noise_power_w
+    gammas = scale * np.abs((np.conj(cs.h)[None, :] + (-pop) @ bt) @ codebook) ** 2
+    terms = np.abs(cs.h) @ np.abs(codebook) + (np.abs(bt) @ np.abs(codebook)).sum(0)
+    return gammas, scale * terms ** 2
+
+
+def test_lga_fitness_equals_the_full_cascade():
+    # the projected fitness scale * |b0 - pop @ z|^2 against the full effective
+    # channel, on random blocks: one and two surfaces, open and blocked direct
+    # paths, 1 to 16 antennas
+    rng = make_rng(25)
+    budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
+    for i, n_tx in enumerate((1, 2, 3, 4, 8, 16) * 4):
+        k, direct = 1 + i % 2, (i // 2) % 2 == 0
+        cs = random_channel_set(rng, n_tx, 5, k=k, direct=direct)
+        cb = dft_codebook(n_tx)
+        pop = rng.integers(0, 2, (6, 5 * k)) * 2.0 - 1.0
+        ref, _ = full_cascade_gammas(cs, budget, cb, pop)
+        got = searched_gammas(cs, budget, cb, pop)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref), (i, n_tx, k, direct)
+
+
+def test_lga_fitness_equals_the_full_cascade_on_a_paper_block():
+    # on configs/single_ris.yaml only DFT beam 0 is live; every other beam's
+    # SNR is rounding noise in both forms, so it is held to the size of its
+    # terms instead
+    cfg = load_config(CONFIGS / "single_ris.yaml")
+    (cs,), = sample_episodes(cfg.scenario, 1, 1, derive_rng(cfg.seed, "eval", "channels"))
+    budget = link_budget_from(cfg.scenario)
+    cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
+    pop = make_rng(26).integers(0, 2, (3, cfg.scenario.n_ris)) * 2.0 - 1.0
+    ref, terms = full_cascade_gammas(cs, budget, cb, pop)
+    got = searched_gammas(cs, budget, cb, pop)
+    assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12 * ref[:, 0])
+    assert np.all(ref[:, 1:] < 1e-20 * terms[1:])
+    assert np.all(np.abs(got[:, 1:] - ref[:, 1:]) <= 1e-12 * terms[1:])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

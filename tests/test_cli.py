@@ -214,6 +214,29 @@ def test_phase_levels_of_a_binary_kind_are_one_error_line(config_path, tmp_path,
     assert one_error_line(capsys, out).startswith("error: arch.phase_states: 4 ")
 
 
+COUNT, RATE = "an integer", "a finite real number"
+
+
+@pytest.mark.parametrize("section,field,value,expected", [
+    ("lga", "individuals", 2.5, COUNT), ("lga", "generations", 1.5, COUNT),
+    ("lga", "n_parents", 3.0, COUNT), ("lga", "individuals", True, COUNT),
+    ("lga", "p_mut", "0.1", RATE), ("evo", "l_pop", 8.5, COUNT),
+    ("evo", "generations", 2.5, COUNT), ("evo", "t_e_train", 1.5, COUNT),
+    ("evo", "sigma_mut", "0.2", RATE), ("evo", "p_mut", float("nan"), RATE),
+])
+def test_non_numeric_search_setting_is_one_error_line(config_path, tmp_path, capsys,
+                                                      section, field, value, expected):
+    data = yaml.safe_load(config_path.read_text())
+    data[section][field] = value
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(config_path), "--out", str(out),
+               "--policy", "lga" if section == "lga" else "attention"])
+    assert rc == 1
+    assert one_error_line(capsys, out) == \
+        f"error: {section}.{field}: expected {expected}, got {value!r}"
+
+
 @pytest.mark.parametrize("field,value", [
     ("arch", 7), ("aggregator", 5), ("ff_hidden", 5), ("ff_hidden", ["x"]),
     ("ff_hidden", [0]), ("ff_hidden", [8.7]),

@@ -1,7 +1,7 @@
 """In-process A/B of two checkouts: the same inputs through both, alternately.
 
     python3 tools/ab.py --base DIR [--change DIR] [--rounds 30] [--paper]
-                        [--paths train,eval,decide]
+                        [--paths train,eval,decide,lga]
 
 Copies each checkout's ``src/evoris`` into a temporary directory under its own
 package name (``evoris_base``, ``evoris_change``; the package imports itself
@@ -9,7 +9,7 @@ relatively, so each copy runs its own code) and imports both into this
 process.  ``--change`` defaults to this checkout; ``--base`` is typically a
 ``git archive`` of the parent commit.  For each of ``configs/single_ris_desk.yaml``
 and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
-``--paper``) it times three paths:
+``--paper``) it times four paths:
 
 - ``train``: ``multiris.rollout`` in sample mode of a training block
   (``t_e_train`` episodes of 25 steps) for each of 20 seeded genomes, each
@@ -19,12 +19,19 @@ and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
   as harness evaluation does;
 - ``decide``: one-block argmax decisions of the first genome on the first 200
   blocks of the evaluation block, through ``policy.forward`` for one surface,
-  or ``multiris.agent_act`` per surface plus ``multiris.aggregate_precoder``.
+  or ``multiris.agent_act`` per surface plus ``multiris.aggregate_precoder``;
+- ``lga``: ``harness.lga_solve`` with the config's ``lga`` settings on the
+  first 50 blocks of the evaluation block, drawing from a policy stream
+  seeded per round, as harness evaluation of ``policy: lga`` does.
 
 Round r draws its channel blocks from seed r; each tree samples them with its
 own code.  The two trees run each path back to back, the base first on even
 rounds, and their outputs (gammas; phases, picks and precoder probabilities)
-must be bitwise equal, else the tool stops with status 1.  The first half of
+must be bitwise equal, else the tool stops with status 1.  ``lga`` is the one
+path compared another way: its phases, beams and the policy stream's end
+state must be bitwise equal, while its gammas are compared by their largest
+relative difference, which the tool prints, so a search that scores the same
+strings with other arithmetic can be timed against the old one.  The first half of
 the rounds runs in a child process that imports the base first, the second
 half in one that imports the change first.  After its timed rounds, each
 child runs every path once more per tree, untimed, under ``tracemalloc``
@@ -57,8 +64,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIGS = ("configs/single_ris_desk.yaml", "configs/multi_ris_desk.yaml")
 PAPER_CONFIG = "configs/single_ris.yaml"
-PATHS = ("train", "eval", "decide")
+PATHS = ("train", "eval", "decide", "lga")
 TRAIN_HORIZON, GENOMES, DECISION_BLOCKS, GENOME_SCALE = 25, 20, 200, 0.3
+LGA_BLOCKS = 50
 
 
 def load_tree(checkout: Path, name: str, tmp: Path):
@@ -68,7 +76,7 @@ def load_tree(checkout: Path, name: str, tmp: Path):
         raise SystemExit(f"error: {checkout} has no src/evoris package")
     shutil.copytree(src, tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("harness", "multiris", "policy", "channel")}
+            for mod in ("harness", "multiris", "policy", "channel", "system")}
 
 
 class Side:
@@ -80,6 +88,9 @@ class Side:
         self.cfg = cfg
         self.arch, self.agg = tree["harness"].trained_policy_configs(cfg)
         self.genomes = genomes
+        self.budget = tree["system"].link_budget_from(cfg.scenario)
+        self.codebook = tree["system"].evaluation_codebook(cfg.scenario,
+                                                           cfg.arch.codebook_size)
 
     def blocks(self, seed: int):
         """(training block, evaluation block) of round ``seed``."""
@@ -131,11 +142,36 @@ class Side:
             out += [np.int64(idx).tobytes(), np.asarray(probs).tobytes()]
         return b"".join(out)
 
+    def lga(self, seed: int):
+        """(phases, beams and stream end state as bytes, gammas) of the search."""
+        import numpy as np
+        rng = np.random.default_rng([seed, 3])
+        steps = [cs for episode in self.eval_block for cs in episode][:LGA_BLOCKS]
+        out, gammas = [], []
+        for cs in steps:
+            res = self.tree["harness"].lga_solve(cs, self.budget, self.codebook,
+                                                 self.cfg.lga, rng)
+            phases = res.phases if isinstance(res.phases, list) else [res.phases]
+            out += [np.asarray(p).tobytes() for p in phases]
+            out.append(np.int64(res.precoder_index).tobytes())
+            gammas.append(res.gamma)
+        out.append(repr(rng.bit_generator.state).encode())
+        return b"".join(out), gammas
+
 
 def timed(fn, seed):
+    """(seconds, SHA-256 of the bit-compared output, gammas or None)."""
     t0 = time.perf_counter()
     out = fn(seed)
-    return time.perf_counter() - t0, hashlib.sha256(out).hexdigest()
+    elapsed = time.perf_counter() - t0
+    out, gammas = out if isinstance(out, tuple) else (out, None)
+    return elapsed, hashlib.sha256(out).hexdigest(), gammas
+
+
+def relative_gap(a, b) -> float:
+    """Largest |a_i - b_i| / max(|a_i|, |b_i|) over two gamma lists (0 where both are 0)."""
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
+               default=0.0)
 
 
 def traced_peak(fn, seed) -> int:
@@ -150,7 +186,8 @@ def traced_peak(fn, seed) -> int:
 
 def run_config(config: Path, trees, rounds, paths):
     """Per path, the base's and the change's time in each round of ``rounds``,
-    and each tree's traced peak on the last round's blocks."""
+    each tree's traced peak on the last round's blocks, and the largest
+    relative gamma difference of the paths compared by it."""
     import numpy as np
     probe = trees["change"]["harness"].load_config(config)
     arch, agg = trees["change"]["harness"].trained_policy_configs(probe)
@@ -158,20 +195,24 @@ def run_config(config: Path, trees, rounds, paths):
     genomes = np.random.default_rng(7).standard_normal((GENOMES, m)) * GENOME_SCALE
     sides = {name: Side(tree, config, genomes) for name, tree in trees.items()}
     times = {path: {"base": [], "change": []} for path in paths}
+    gaps = {}
     for r in rounds:
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for name in order:
             sides[name].blocks(r)
         for path in paths:
-            digests = {}
+            digests, gammas = {}, {}
             for name in order:
-                elapsed, digests[name] = timed(getattr(sides[name], path), r)
+                elapsed, digests[name], gammas[name] = timed(getattr(sides[name], path), r)
                 times[path][name].append(elapsed)
             if digests["base"] != digests["change"]:
                 raise SystemExit(f"error: {config.name} {path}: outputs differ in round {r}")
+            if gammas["base"] is not None:
+                gaps[path] = max(gaps.get(path, 0.0),
+                                 relative_gap(gammas["base"], gammas["change"]))
     peaks = {path: {name: traced_peak(getattr(sides[name], path), rounds[-1])
                     for name in sides} for path in paths}
-    return times, peaks
+    return times, peaks, gaps
 
 
 def configs_of(args):
@@ -186,14 +227,15 @@ def child(args, paths, first: str, rounds) -> None:
         trees = {name: load_tree(getattr(args, name).resolve(), f"evoris_{name}", Path(tmp))
                  for name in (first, "change" if first == "base" else "base")}
         for config in configs_of(args):
-            times, peaks = run_config(ROOT / config, trees, rounds, paths)
-            print(json.dumps({"config": config, "times": times, "peaks": peaks}),
-                  flush=True)
+            times, peaks, gaps = run_config(ROOT / config, trees, rounds, paths)
+            print(json.dumps({"config": config, "times": times, "peaks": peaks,
+                              "gaps": gaps}), flush=True)
 
 
-def report(config: str, path: str, by_order, peaks) -> None:
+def report(config: str, path: str, by_order, peaks, gap) -> None:
     """One line: the pooled median paired ratio, the median per import order,
-    and each tree's traced peak."""
+    each tree's traced peak, and the largest relative gamma difference of a
+    path compared by it (``gap``, else None)."""
     base_t = [t for times in by_order.values() for t in times["base"]]
     change_t = [t for times in by_order.values() for t in times["change"]]
     ratios = [c / b for b, c in zip(base_t, change_t)]
@@ -206,8 +248,10 @@ def report(config: str, path: str, by_order, peaks) -> None:
           f"base {1e3 * statistics.median(base_t):.3f} change "
           f"{1e3 * statistics.median(change_t):.3f}; traced peak kB base "
           f"{max(p['base'] for p in peaks) / 1e3:.1f} change "
-          f"{max(p['change'] for p in peaks) / 1e3:.1f}; bits equal in every round",
-          flush=True)
+          f"{max(p['change'] for p in peaks) / 1e3:.1f}; " + (
+              "bits equal in every round" if gap is None else
+              f"phases, beams and stream equal in every round, largest relative "
+              f"gamma difference {gap:.3g}"), flush=True)
 
 
 def main() -> int:
@@ -235,7 +279,7 @@ def main() -> int:
     # percent, so half the rounds run in a process that imports the base first
     # and half in one that imports the change first
     half = (args.rounds + 1) // 2
-    pooled, peaks = {}, {}
+    pooled, peaks, gaps = {}, {}, {}
     for first, start, stop in (("base", 0, half), ("change", half, args.rounds)):
         if start == stop:
             continue
@@ -251,8 +295,11 @@ def main() -> int:
                 pooled.setdefault((record["config"], path), {})[first] = times
                 peaks.setdefault((record["config"], path), []).append(
                     record["peaks"][path])
+            for path, gap in record["gaps"].items():
+                key = (record["config"], path)
+                gaps[key] = max(gaps.get(key, 0.0), gap)
     for (config, path), by_order in pooled.items():
-        report(config, path, by_order, peaks[(config, path)])
+        report(config, path, by_order, peaks[(config, path)], gaps.get((config, path)))
     return 0
 
 
