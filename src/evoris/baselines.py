@@ -76,11 +76,12 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
 # block (<= 48 kB) is one group; a paper-scale beam (individuals 15, n_bits
 # 400, 5 generations) holds 150 kB, so the 16 paper beams run in four groups
 # of four.  On a 2 vCPU Xeon with one BLAS thread (``tools/ab.py --paper
-# --paths lga``, 10 rounds of 50 paper blocks; time over that of the
+# --paths lga``, 30 rounds of 50 paper blocks; time over that of the
 # full-cascade search this one replaced, which ran paper beams one at a
-# time), one beam per group ran at 0.73, two at 0.61, four at 0.58, eight at
-# 0.57 and all 16 at 0.57, with traced peaks of 0.6, 0.9, 1.4, 2.4 and
-# 3.6 MB.  Four are as fast as more, in less memory.
+# time), one beam per group ran at 0.75, two at 0.60, four at 0.55, eight at
+# 0.54 and all 16 at 0.57, with traced peaks of 0.6, 0.9, 1.4, 2.4 and
+# 3.6 MB.  Eight are within the ~3% an A/A run reads of four, in 1.8 times
+# the memory, so the budget keeps four.
 LGA_GROUP_BYTES = 640 << 10
 
 

@@ -31,9 +31,9 @@ must be bitwise equal, else the tool stops with status 1.  ``lga`` is the one
 path compared another way: its phases, beams and the policy stream's end
 state must be bitwise equal, while its gammas are compared by their largest
 relative difference, which the tool prints, so a search that scores the same
-strings with other arithmetic can be timed against the old one.  The first half of
-the rounds runs in a child process that imports the base first, the second
-half in one that imports the change first.  After its timed rounds, each
+strings with other arithmetic can be timed against the old one.  The first
+half of the rounds runs in a child process that imports the base first, the
+second half in one that imports the change first.  After its timed rounds, each
 child runs every path once more per tree, untimed, under ``tracemalloc``
 (NumPy reports its array buffers to it), on the blocks of its last round.
 It prints, per config and path, the median paired ratio of the change's time
@@ -169,7 +169,8 @@ def timed(fn, seed):
 
 
 def relative_gap(a, b) -> float:
-    """Largest |a_i - b_i| / max(|a_i|, |b_i|) over two gamma lists (0 where both are 0)."""
+    """Largest |a_i - b_i| / max(|a_i|, |b_i|) over two gamma lists; equal
+    entries count 0."""
     return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y),
                default=0.0)
 
