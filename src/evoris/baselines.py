@@ -64,6 +64,15 @@ def _cascade_matrix(cs: ChannelSet) -> np.ndarray:
     return np.concatenate(blocks, axis=1)
 
 
+def _require_codebook(cs: ChannelSet, codebook: np.ndarray) -> None:
+    """Raise ValueError, naming the shape, unless ``codebook`` is (n_tx, beams)
+    with a beam at least."""
+    n_tx, shape = cs.h.shape[0], np.shape(codebook)
+    if len(shape) != 2 or shape[0] != n_tx or shape[1] == 0:
+        raise ValueError(f"codebook must be (n_tx, beams) = ({n_tx}, >= 1), "
+                         f"got shape {shape}")
+
+
 def _split_phases(cs: ChannelSet, flat: np.ndarray):
     if cs.ris_count == 1:
         return flat.copy()
@@ -75,20 +84,22 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
 # beams are searched in the fewest near-equal groups under it.  Every desk
 # block (<= 48 kB) is one group; a paper-scale beam (individuals 15, n_bits
 # 400, 5 generations) holds 150 kB, so the 16 paper beams run in four groups
-# of four.  On a 2 vCPU Xeon with one BLAS thread (``tools/ab.py --paper
-# --paths lga``, 30 rounds of 50 paper blocks; time over that of the
-# full-cascade search this one replaced, which ran paper beams one at a
-# time), one beam per group ran at 0.75, two at 0.60, four at 0.55, eight at
-# 0.54 and all 16 at 0.57, with traced peaks of 0.6, 0.9, 1.4, 2.4 and
-# 3.6 MB.  Eight are within the ~3% an A/A run reads of four, in 1.8 times
-# the memory, so the budget keeps four.
+# of four.  The block's draws come before the groups, outside this budget, and
+# do not depend on it.  On a 2 vCPU Xeon with one BLAS thread (``tools/ab.py
+# --paper --paths lga --lga-stream-changed``, 30 rounds of 50 paper blocks;
+# time over that of the search with per-beam draws this one replaced, at four
+# beams per group), one beam per group ran at 1.12, two at 0.93, four at
+# 0.84, eight at 0.82 and all 16 at 0.84.  Eight are within the ~3% an A/A run
+# reads of four, so the budget keeps four.
 LGA_GROUP_BYTES = 640 << 10
 
 
 def _beam_bytes(n_ind: int, n_off: int, n_gen: int, n_bits: int) -> int:
-    """Bytes one beam adds to a group: the population and its ranked copy
-    (float64), the crossover masks and flips (bool), the best string of each
-    generation (float64) and the projected cascade's real and imaginary parts."""
+    """Bytes one beam's search works on in a group: the population and its
+    ranked copy (float64), the crossover masks and flips (bool), the best
+    string of each generation (float64) and the projected cascade's real and
+    imaginary parts.  The population and flips are the beam's rows of the
+    block-wide draws, allocated before the groups, outside the budget."""
     return 8 * n_bits * (2 * n_ind + n_gen + 2) + 2 * n_gen * n_off * n_bits
 
 
@@ -117,16 +128,26 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     IEEE JSTSP 2022), so each beam's fitness takes two real products of its
     population with z's real and imaginary parts.
 
-    No draw depends on a fitness, so each group of beams (see
-    ``LGA_GROUP_BYTES``) makes all of its draws first, beam by beam: the
-    initial population, then per generation the crossover points and the
-    flip uniforms (breeding follows the last generation too).  The group's
-    populations then evolve as one (beams, individuals, n_bits) stack, with
-    per beam the same products, sort and breeding as a search run alone, so
-    the result and the stream's end state are those of searching the beams
-    one at a time.  Raises ValueError when the best SNR found is not finite
-    (every SNR NaN, or an overflow).
+    No draw depends on a fitness, so the block makes all of its draws first,
+    in at most three calls, with n_v beams and n_off = individuals - n_parents
+    offspring:
+
+    1. the initial populations, ``rng.integers(0, 2, size=(n_v, individuals,
+       n_bits)) * 2.0 - 1.0``, skipped when ``init`` is given (every beam
+       then starts from ``init``);
+    2. the crossover points, ``rng.integers(1, n_bits, size=(n_v,
+       generations, n_off))``, skipped when n_bits is 1 (every point 0);
+    3. the flips, ``rng.random((n_v, generations, n_off, n_bits)) < p_mut``
+       (breeding follows the last generation too).
+
+    Each group of beams (see ``LGA_GROUP_BYTES``) then evolves on its rows of
+    these as one (beams, individuals, n_bits) stack, with per beam the same
+    products, sort and breeding as a search run alone, so neither the result
+    nor the stream's end state depends on the grouping.  Raises ValueError
+    when the codebook is not (n_tx, beams) with a beam at least, and when the
+    best SNR found is not finite (every SNR NaN, or an overflow).
     """
+    _require_codebook(cs, codebook)
     n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
     n_parents = params.n_parents if params.n_parents is not None \
@@ -150,23 +171,19 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     bit = np.arange(n_bits)
 
     n_v = codebook.shape[1]
+    # the block's three draws; each group evolves on views of them
+    if init is None:
+        pops = rng.integers(0, 2, size=(n_v, n_ind, n_bits)) * 2.0 - 1.0
+    else:
+        pops = np.repeat(init[None], n_v, axis=0)
+    points = rng.integers(1, n_bits, size=(n_v, n_gen, n_off)) if n_bits > 1 \
+        else np.zeros((n_v, n_gen, n_off), dtype=np.int64)
+    flips = rng.random((n_v, n_gen, n_off, n_bits)) < p_mut
     best_gamma, best_flat, best_idx = -1.0, None, -1
     for a, b in _beam_groups(n_v, _beam_bytes(n_ind, n_off, n_gen, n_bits)):
         g = b - a
-        pop = np.empty((g, n_ind, n_bits))
-        points = np.zeros((g, n_gen, n_off), dtype=np.int64)
-        flips = np.empty((g, n_gen, n_off, n_bits), dtype=bool)
-        for i in range(g):
-            if init is not None:
-                pop[i] = init
-            else:
-                np.multiply(rng.integers(0, 2, size=(n_ind, n_bits)), 2.0, out=pop[i])
-                pop[i] -= 1.0
-            for gen in range(n_gen):
-                if n_bits > 1:
-                    points[i, gen] = rng.integers(1, n_bits, size=n_off)
-                np.less(rng.random((n_off, n_bits)), p_mut, out=flips[i, gen])
-        second = bit >= points[..., None]
+        pop = pops[a:b]
+        second = bit >= points[a:b, ..., None]
         # each beam's column keeps the strides of codebook[:, v], so its
         # projection is the one-column product a beam searched alone makes
         bz = np.matmul(proj, codebook[:, a:b].T[:, :, None])
@@ -191,7 +208,7 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
             children = pop[:, n_parents:]
             pop.take(p1, axis=1, out=children)
             np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
-            np.negative(children, out=children, where=flips[:, gen])
+            np.negative(children, out=children, where=flips[a:b, gen])
         # a one-beam-at-a-time scan keeps the first strictly better top, so
         # the earliest maximum in beam-major order; NaN tops never win
         seq = np.where(tops > best_gamma, tops, -np.inf).ravel()
@@ -213,8 +230,10 @@ def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     Enumerates the 2^n_bits strings in ascending lexicographic order
     (-1 before +1) in chunks; ties resolve to the lexicographically lowest
     string and then the lowest precoder index.  Refuses instances where
-    2^n_bits * |V| exceeds ``cap``.
+    2^n_bits * |V| exceeds ``cap``, and a codebook that is not (n_tx, beams)
+    with a beam at least.
     """
+    _require_codebook(cs, codebook)
     n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     n_v = codebook.shape[1]
     total = (1 << n_bits) * n_v
@@ -250,7 +269,10 @@ def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
 
 def random_baseline(cs: ChannelSet, codebook: np.ndarray,
                     rng: np.random.Generator) -> tuple:
-    """Uniform random phases (per RIS, in order) and codebook index."""
+    """Uniform random phases (per RIS, in order) and codebook index.
+
+    Refuses a codebook that is not (n_tx, beams) with a beam at least."""
+    _require_codebook(cs, codebook)
     phase_list = [rng.integers(0, 2, size=h2.shape[0]) * 2.0 - 1.0
                   for h2 in cs.h2_list]
     idx = int(rng.integers(codebook.shape[1]))

@@ -110,16 +110,34 @@ def test_lga_multi_ris_phase_split():
     assert abs(res.gamma - recomputed) < 1e-10 * max(recomputed, 1e-30)
 
 
-def per_beam_lga(cs, budget, codebook, params, rng, init=None):
-    """The genetic search one beam at a time, drawing as it goes: per beam the
-    initial population (or a copy of ``init``), then per generation a sort
-    and a breeding with its crossover points and flip uniforms.  Fitness is
-    the projected form ``scale * |b0 - pop @ z|^2`` that ``lga_solve`` uses."""
-    n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
+def block_draws(rng, n_v, params, n_bits, init=None):
+    """The block's draws in ``lga_solve``'s documented order: the initial
+    populations (unless ``init`` is given), the crossover points (unless
+    n_bits is 1) and the flips, each in one call."""
+    n_ind, n_gen = params.individuals, params.generations
+    n_parents = params.n_parents if params.n_parents is not None \
+        else max(1, n_ind // 2)
+    n_off = n_ind - n_parents
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
+    pops = None if init is not None \
+        else rng.integers(0, 2, size=(n_v, n_ind, n_bits)) * 2.0 - 1.0
+    points = rng.integers(1, n_bits, size=(n_v, n_gen, n_off)) if n_bits > 1 \
+        else np.zeros((n_v, n_gen, n_off), dtype=np.int64)
+    flips = rng.random((n_v, n_gen, n_off, n_bits)) < p_mut
+    return pops, points, flips
+
+
+def per_beam_lga(cs, budget, codebook, params, rng, init=None):
+    """The genetic search one beam at a time, on the block's draws made first:
+    per beam its initial population (or a copy of ``init``), then per
+    generation a sort and a breeding with that beam's crossover points and
+    flips.  Fitness is the projected form ``scale * |b0 - pop @ z|^2`` that
+    ``lga_solve`` uses."""
+    n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, params.individuals // 2)
     n_off = params.individuals - n_parents
+    pops, points, flips = block_draws(rng, codebook.shape[1], params, n_bits, init)
     bt = np.concatenate([np.conj(h1) * np.conj(h2)[None, :]
                          for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1).T
     scale = budget.tx_power_w / budget.noise_power_w
@@ -128,11 +146,8 @@ def per_beam_lga(cs, budget, codebook, params, rng, init=None):
         # the beam's direct term b0 and projected cascade z, one product
         bz = np.vstack([np.conj(cs.h), bt]) @ codebook[:, v_idx]
         b0, z_re, z_im = bz[0], bz[1:].real.copy(), bz[1:].imag.copy()
-        if init is not None:
-            pop = np.array(init, dtype=np.float64)
-        else:
-            pop = rng.integers(0, 2, size=(params.individuals, n_bits)) * 2.0 - 1.0
-        for _ in range(params.generations):
+        pop = np.array(init if init is not None else pops[v_idx], dtype=np.float64)
+        for gen in range(params.generations):
             re, im = b0.real - pop @ z_re, b0.imag - pop @ z_im
             gammas = scale * (re * re + im * im)
             evaluations += params.individuals
@@ -142,14 +157,11 @@ def per_beam_lga(cs, budget, codebook, params, rng, init=None):
                 best_gamma, best_flat, best_idx = float(gammas[0]), pop[0].copy(), v_idx
             parents = pop[:n_parents]
             children = np.empty((n_off, n_bits))
-            points = rng.integers(1, n_bits, size=n_off) if n_bits > 1 \
-                else np.zeros(n_off, dtype=np.int64)
             for j in range(n_off):
-                c = int(points[j])
+                c = int(points[v_idx, gen, j])
                 children[j, :c] = parents[j % n_parents][:c]
                 children[j, c:] = parents[(j + 1) % n_parents][c:]
-            flips = rng.random((n_off, n_bits)) < p_mut
-            pop[n_parents:] = np.where(flips, -children, children)
+            pop[n_parents:] = np.where(flips[v_idx, gen], -children, children)
     n = cs.h2_list[0].shape[0]
     phases = [best_flat[k * n:(k + 1) * n] for k in range(cs.ris_count)]
     return phases, best_idx, best_gamma, evaluations
@@ -213,6 +225,40 @@ def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
     assert sizes(16, 96_000) == [5, 5, 6]
 
 
+@pytest.mark.parametrize("n_ris, with_init", [(6, False), (6, True), (1, False)])
+def test_lga_makes_the_documented_draws(n_ris, with_init):
+    # the stream ends where a fresh one does after exactly the documented
+    # draws: three calls, two with an init population, two with one element
+    rng = make_rng(27)
+    cs = random_channel_set(rng, 2, n_ris)
+    params = LgaParams(individuals=5, generations=3)
+    init = rng.integers(0, 2, (5, n_ris)) * 2.0 - 1.0 if with_init else None
+    res_rng, ref_rng = make_rng(28), make_rng(28)
+    lga_solve(cs, UNIT, dft_codebook(2), params, res_rng, init=init)
+    block_draws(ref_rng, 2, params, n_ris, init)
+    assert res_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lga_paper_block_does_not_depend_on_the_group_budget(monkeypatch):
+    # one configs/single_ris.yaml block in one group per beam, in the shipped
+    # groups and in one group of all 16 beams
+    cfg = load_config(CONFIGS / "single_ris.yaml")
+    (cs,), = sample_episodes(cfg.scenario, 1, 1, derive_rng(cfg.seed, "eval", "channels"))
+    budget = link_budget_from(cfg.scenario)
+    cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
+    runs = []
+    for group_bytes in (1, baselines.LGA_GROUP_BYTES, 1 << 30):
+        monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
+        rng = derive_rng(cfg.seed, "eval", "policy")
+        runs.append((lga_solve(cs, budget, cb, cfg.lga, rng), rng.bit_generator.state))
+    (first, state), *rest = runs
+    for res, end in rest:
+        assert res.gamma == first.gamma and res.precoder_index == first.precoder_index
+        assert res.evaluations == first.evaluations
+        assert np.array_equal(res.phases, first.phases)
+        assert end == state
+
+
 def searched_gammas(cs, budget, codebook, pop):
     """(strings, beams) SNRs as the search scores them: each string, twice, as
     the ``init`` population of a one-generation search on one beam."""
@@ -273,6 +319,17 @@ def test_lga_refuses_non_finite_channels(bad):
     cs.h[0] = bad
     with pytest.raises(ValueError, match="finite"), np.errstate(invalid="ignore"):
         lga_solve(cs, UNIT, dft_codebook(2), LgaParams(), make_rng(24))
+
+
+BAD_CODEBOOKS = [np.zeros((2, 0), dtype=np.complex128), dft_codebook(3),
+                 dft_codebook(2)[0]]
+
+
+@pytest.mark.parametrize("codebook", BAD_CODEBOOKS, ids=["no beam", "3 rows", "1-d"])
+def test_lga_refuses_a_codebook_of_the_wrong_shape(codebook):
+    cs = random_channel_set(make_rng(29), 2, 4)
+    with pytest.raises(ValueError, match=r"codebook .*got shape"):
+        lga_solve(cs, UNIT, codebook, LgaParams(), make_rng(30))
 
 
 def test_lga_params_validation():
@@ -371,6 +428,13 @@ def test_oracle_chunking_boundary():
         assert snr(cs, phi, dft_codebook(2)[:, 0], UNIT) <= gstar * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("codebook", BAD_CODEBOOKS, ids=["no beam", "3 rows", "1-d"])
+def test_oracle_refuses_a_codebook_of_the_wrong_shape(codebook):
+    cs = random_channel_set(make_rng(31), 2, 4)
+    with pytest.raises(ValueError, match=r"codebook .*got shape"):
+        exhaustive_oracle(cs, UNIT, codebook)
+
+
 # -- random_baseline ----------------------------------------------------------
 
 def test_random_baseline_codomain_and_determinism():
@@ -397,3 +461,10 @@ def test_random_baseline_multi_ris():
     phases, idx = random_baseline(cs, dft_codebook(2), make_rng(17))
     assert isinstance(phases, list) and len(phases) == 2
     assert all(p.shape == (3,) for p in phases)
+
+
+@pytest.mark.parametrize("codebook", BAD_CODEBOOKS, ids=["no beam", "3 rows", "1-d"])
+def test_random_baseline_refuses_a_codebook_of_the_wrong_shape(codebook):
+    cs = random_channel_set(make_rng(32), 2, 4)
+    with pytest.raises(ValueError, match=r"codebook .*got shape"):
+        random_baseline(cs, codebook, make_rng(33))

@@ -1,7 +1,7 @@
 """In-process A/B of two checkouts: the same inputs through both, alternately.
 
     python3 tools/ab.py --base DIR [--change DIR] [--rounds 30] [--paper]
-                        [--paths train,eval,decide,lga]
+                        [--paths train,eval,decide,lga] [--lga-stream-changed]
 
 Copies each checkout's ``src/evoris`` into a temporary directory under its own
 package name (``evoris_base``, ``evoris_change``; the package imports itself
@@ -31,7 +31,13 @@ must be bitwise equal, else the tool stops with status 1.  ``lga`` is the one
 path compared another way: its phases, beams and the policy stream's end
 state must be bitwise equal, while its gammas are compared by their largest
 relative difference, which the tool prints, so a search that scores the same
-strings with other arithmetic can be timed against the old one.  The first
+strings with other arithmetic can be timed against the old one.  With
+``--lga-stream-changed``, for a search that draws other strings from the same
+law, the two trees' ``lga`` outputs are not compared: instead each block's
+gamma must equal ``system.snr`` of that tree's own phases and beam, within
+1e-10 of the same sum taken over the magnitudes of its terms (the check of
+``bench/run.py``), else the tool stops with status 1; it prints each tree's
+mean SNR over the timed blocks, in dB of the mean gamma.  The first
 half of the rounds runs in a child process that imports the base first, the
 second half in one that imports the change first.  After its timed rounds, each
 child runs every path once more per tree, untimed, under ``tracemalloc``
@@ -50,6 +56,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import statistics
@@ -67,6 +74,7 @@ PAPER_CONFIG = "configs/single_ris.yaml"
 PATHS = ("train", "eval", "decide", "lga")
 TRAIN_HORIZON, GENOMES, DECISION_BLOCKS, GENOME_SCALE = 25, 20, 200, 0.3
 LGA_BLOCKS = 50
+SNR_RTOL = 1e-10
 
 
 def load_tree(checkout: Path, name: str, tmp: Path):
@@ -147,16 +155,34 @@ class Side:
         import numpy as np
         rng = np.random.default_rng([seed, 3])
         steps = [cs for episode in self.eval_block for cs in episode][:LGA_BLOCKS]
-        out, gammas = [], []
+        out, gammas, self.lga_results = [], [], []
         for cs in steps:
             res = self.tree["harness"].lga_solve(cs, self.budget, self.codebook,
                                                  self.cfg.lga, rng)
+            self.lga_results.append((cs, res))
             phases = res.phases if isinstance(res.phases, list) else [res.phases]
             out += [np.asarray(p).tobytes() for p in phases]
             out.append(np.int64(res.precoder_index).tobytes())
             gammas.append(res.gamma)
         out.append(repr(rng.bit_generator.state).encode())
         return b"".join(out), gammas
+
+    def check_lga(self) -> str | None:
+        """The first block of the last ``lga`` call whose gamma is not
+        ``system.snr`` of its phases and beam, within ``SNR_RTOL`` of
+        P/sigma^2 (sum_i |m_i v_i|)^2 for the effective channel m; else None."""
+        import numpy as np
+        p_over_n = self.budget.tx_power_w / self.budget.noise_power_w
+        for i, (cs, res) in enumerate(self.lga_results):
+            v = self.codebook[:, res.precoder_index]
+            phase_list = res.phases if isinstance(res.phases, list) else [res.phases]
+            m = np.conj(cs.h) + sum(np.conj(h1) @ (-np.asarray(ph) * np.conj(h2))
+                                    for h1, h2, ph in zip(cs.h1_list, cs.h2_list,
+                                                          phase_list))
+            want = self.tree["system"].snr(cs, res.phases, v, self.budget)
+            if not abs(res.gamma - want) <= SNR_RTOL * p_over_n * np.sum(np.abs(m * v)) ** 2:
+                return f"block {i}: gamma {res.gamma!r} != system.snr {want!r}"
+        return None
 
 
 def timed(fn, seed):
@@ -185,10 +211,11 @@ def traced_peak(fn, seed) -> int:
         tracemalloc.stop()
 
 
-def run_config(config: Path, trees, rounds, paths):
+def run_config(config: Path, trees, rounds, paths, lga_stream_changed=False):
     """Per path, the base's and the change's time in each round of ``rounds``,
-    each tree's traced peak on the last round's blocks, and the largest
-    relative gamma difference of the paths compared by it."""
+    each tree's traced peak on the last round's blocks, the largest relative
+    gamma difference of the paths compared by it, and with
+    ``lga_stream_changed`` each tree's [sum, count] of its ``lga`` gammas."""
     import numpy as np
     probe = trees["change"]["harness"].load_config(config)
     arch, agg = trees["change"]["harness"].trained_policy_configs(probe)
@@ -196,7 +223,7 @@ def run_config(config: Path, trees, rounds, paths):
     genomes = np.random.default_rng(7).standard_normal((GENOMES, m)) * GENOME_SCALE
     sides = {name: Side(tree, config, genomes) for name, tree in trees.items()}
     times = {path: {"base": [], "change": []} for path in paths}
-    gaps = {}
+    gaps, lga_sums = {}, {name: [0.0, 0] for name in sides}
     for r in rounds:
         order = ("base", "change") if r % 2 == 0 else ("change", "base")
         for name in order:
@@ -206,6 +233,15 @@ def run_config(config: Path, trees, rounds, paths):
             for name in order:
                 elapsed, digests[name], gammas[name] = timed(getattr(sides[name], path), r)
                 times[path][name].append(elapsed)
+            if path == "lga" and lga_stream_changed:
+                for name in order:
+                    fault = sides[name].check_lga()
+                    if fault is not None:
+                        raise SystemExit(f"error: {config.name} lga: {name} round {r} "
+                                         f"{fault}")
+                    lga_sums[name][0] += sum(gammas[name])
+                    lga_sums[name][1] += len(gammas[name])
+                continue
             if digests["base"] != digests["change"]:
                 raise SystemExit(f"error: {config.name} {path}: outputs differ in round {r}")
             if gammas["base"] is not None:
@@ -213,7 +249,7 @@ def run_config(config: Path, trees, rounds, paths):
                                  relative_gap(gammas["base"], gammas["change"]))
     peaks = {path: {name: traced_peak(getattr(sides[name], path), rounds[-1])
                     for name in sides} for path in paths}
-    return times, peaks, gaps
+    return times, peaks, gaps, (lga_sums if lga_stream_changed else None)
 
 
 def configs_of(args):
@@ -228,15 +264,15 @@ def child(args, paths, first: str, rounds) -> None:
         trees = {name: load_tree(getattr(args, name).resolve(), f"evoris_{name}", Path(tmp))
                  for name in (first, "change" if first == "base" else "base")}
         for config in configs_of(args):
-            times, peaks, gaps = run_config(ROOT / config, trees, rounds, paths)
+            times, peaks, gaps, lga_sums = run_config(ROOT / config, trees, rounds, paths,
+                                                      args.lga_stream_changed)
             print(json.dumps({"config": config, "times": times, "peaks": peaks,
-                              "gaps": gaps}), flush=True)
+                              "gaps": gaps, "lga_sums": lga_sums}), flush=True)
 
 
-def report(config: str, path: str, by_order, peaks, gap) -> None:
+def report(config: str, path: str, by_order, peaks, compared: str) -> None:
     """One line: the pooled median paired ratio, the median per import order,
-    each tree's traced peak, and the largest relative gamma difference of a
-    path compared by it (``gap``, else None)."""
+    each tree's traced peak, and how the outputs compared (``compared``)."""
     base_t = [t for times in by_order.values() for t in times["base"]]
     change_t = [t for times in by_order.values() for t in times["change"]]
     ratios = [c / b for b, c in zip(base_t, change_t)]
@@ -249,10 +285,23 @@ def report(config: str, path: str, by_order, peaks, gap) -> None:
           f"base {1e3 * statistics.median(base_t):.3f} change "
           f"{1e3 * statistics.median(change_t):.3f}; traced peak kB base "
           f"{max(p['base'] for p in peaks) / 1e3:.1f} change "
-          f"{max(p['change'] for p in peaks) / 1e3:.1f}; " + (
-              "bits equal in every round" if gap is None else
-              f"phases, beams and stream equal in every round, largest relative "
-              f"gamma difference {gap:.3g}"), flush=True)
+          f"{max(p['change'] for p in peaks) / 1e3:.1f}; {compared}", flush=True)
+
+
+def outcome(gap, lga_sums) -> str:
+    """How a path's outputs compared: bit for bit, by the largest relative
+    gamma difference ``gap``, or, given each tree's [sum, count] of gammas,
+    each tree against ``system.snr``."""
+    if lga_sums is not None:
+        mean_db = {name: 10.0 * math.log10(total / count)
+                   for name, (total, count) in lga_sums.items()}
+        return (f"stream changed: every gamma equals system.snr of its tree's own "
+                f"phases and beam; mean SNR base {mean_db['base']:.3f} dB change "
+                f"{mean_db['change']:.3f} dB")
+    if gap is not None:
+        return (f"phases, beams and stream equal in every round, largest relative "
+                f"gamma difference {gap:.3g}")
+    return "bits equal in every round"
 
 
 def main() -> int:
@@ -265,6 +314,9 @@ def main() -> int:
                         help=f"also run {PAPER_CONFIG} (paper scale, slow)")
     parser.add_argument("--paths", default=",".join(PATHS),
                         help=f"comma-separated subset of {','.join(PATHS)}")
+    parser.add_argument("--lga-stream-changed", action="store_true",
+                        help="lga draws other strings: check each tree's gammas "
+                             "against system.snr instead of comparing the trees")
     parser.add_argument("--child", help=argparse.SUPPRESS)  # FIRST:START:STOP
     args = parser.parse_args()
     paths = [p for p in args.paths.split(",") if p]
@@ -280,7 +332,7 @@ def main() -> int:
     # percent, so half the rounds run in a process that imports the base first
     # and half in one that imports the change first
     half = (args.rounds + 1) // 2
-    pooled, peaks, gaps = {}, {}, {}
+    pooled, peaks, gaps, lga_sums = {}, {}, {}, {}
     for first, start, stop in (("base", 0, half), ("change", half, args.rounds)):
         if start == stop:
             continue
@@ -299,8 +351,15 @@ def main() -> int:
             for path, gap in record["gaps"].items():
                 key = (record["config"], path)
                 gaps[key] = max(gaps.get(key, 0.0), gap)
+            for name, (total, count) in (record["lga_sums"] or {}).items():
+                pooled_sums = lga_sums.setdefault(record["config"], {}).setdefault(
+                    name, [0.0, 0])
+                pooled_sums[0] += total
+                pooled_sums[1] += count
     for (config, path), by_order in pooled.items():
-        report(config, path, by_order, peaks[(config, path)], gaps.get((config, path)))
+        sums = lga_sums.get(config) if path == "lga" else None
+        report(config, path, by_order, peaks[(config, path)],
+               outcome(gaps.get((config, path)), sums))
     return 0
 
 
