@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .numerics import require_count, require_real
+from .numerics import check_fields
 from .system import LinkBudget
 
 
@@ -33,12 +33,7 @@ class LgaParams:
     n_parents: int | None = None
 
     def __post_init__(self):
-        require_count("individuals", self.individuals)
-        require_count("generations", self.generations)
-        if self.p_mut is not None:
-            require_real("p_mut", self.p_mut)
-        if self.n_parents is not None:
-            require_count("n_parents", self.n_parents)
+        check_fields(self)
         if self.individuals < 2:
             raise ValueError("individuals must be >= 2")
         if self.generations < 1:

@@ -9,32 +9,24 @@ segment.  All sampling is pure given a Generator handle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .numerics import check_fields
+
 Vec3 = tuple[float, float, float]
-
-
-def _position(name: str, p) -> Vec3:
-    """A node position as a float 3-tuple; anything else raises, naming ``name``."""
-    try:
-        xyz = tuple(float(x) for x in p)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: expected 3 finite coordinates, got {p!r}") from None
-    if len(xyz) != 3 or not all(math.isfinite(x) for x in xyz):
-        raise ValueError(f"{name}: expected 3 finite coordinates, got {p!r}")
-    return xyz
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Geometry, fading and power description of one simulated link.
 
-    Ricean factors are in dB; ``kappa_h1_db=None`` makes every TX-RIS
-    channel purely line-of-sight.  Power levels are dBm and converted to
-    linear watts once, at link-budget construction.
+    Ricean factors are in dB, ``-inf`` for no line of sight (Rayleigh);
+    ``kappa_h1_db=None`` makes every TX-RIS channel purely line-of-sight.
+    Power levels are dBm, converted to linear watts once, at link-budget
+    construction.
     """
 
     n_tx: int = 16
@@ -43,9 +35,9 @@ class ScenarioConfig:
     tx_position: Vec3 = (0.0, 0.0, 2.0)
     rx_position: Vec3 = (8.0, 10.0, 1.5)
     ris_positions: tuple[Vec3, ...] = ((0.0, 3.0, 2.0),)
-    kappa_h2_db: float = 10.0
-    kappa_h_db: float = 10.0
-    kappa_h1_db: float | None = None
+    kappa_h2_db: float = field(default=10.0, metadata={"neg_inf": True})
+    kappa_h_db: float = field(default=10.0, metadata={"neg_inf": True})
+    kappa_h1_db: float | None = field(default=None, metadata={"neg_inf": True})
     direct_blocked: bool = True
     direct_attenuation_db: float = 0.0
     carrier_wavelength: float = 0.1
@@ -56,11 +48,8 @@ class ScenarioConfig:
     ris_geometry: str = "auto"
 
     def __post_init__(self):
-        # float tuples: the config is hashed as the key of the geometry cache
-        object.__setattr__(self, "tx_position", _position("tx_position", self.tx_position))
-        object.__setattr__(self, "rx_position", _position("rx_position", self.rx_position))
-        object.__setattr__(self, "ris_positions", tuple(
-            _position(f"ris_positions[{i}]", p) for i, p in enumerate(self.ris_positions)))
+        # positions become float tuples: the config keys the geometry cache
+        check_fields(self)
         if self.n_tx < 1:
             raise ValueError("n_tx must be >= 1")
         if self.n_ris < 1:
@@ -77,7 +66,7 @@ class ScenarioConfig:
         if self.ris_geometry not in ("auto", "planar", "linear"):
             raise ValueError(f"unknown ris_geometry {self.ris_geometry!r}")
         positions = [self.tx_position, self.rx_position, *self.ris_positions]
-        if len({tuple(p) for p in positions}) != len(positions):
+        if len(set(positions)) != len(positions):
             raise ValueError("node positions must be distinct")
         if self.resolved_ris_geometry() == "planar":
             side = math.isqrt(self.n_ris)
@@ -304,22 +293,4 @@ def sample_episodes(cfg: ScenarioConfig, episodes: int, horizon: int,
         raise ValueError("episodes and horizon must be >= 1")
     return [[sample_channel_set(cfg, rng) for _ in range(horizon)]
             for _ in range(episodes)]
-
-
-# -- scenario (de)serialization: plain mappings for the config files ---------
-
-def scenario_to_mapping(cfg: ScenarioConfig) -> dict:
-    d = asdict(cfg)
-    d["tx_position"] = list(cfg.tx_position)
-    d["rx_position"] = list(cfg.rx_position)
-    d["ris_positions"] = [list(p) for p in cfg.ris_positions]
-    return d
-
-
-def scenario_from_mapping(d: dict) -> ScenarioConfig:
-    known = set(ScenarioConfig.__dataclass_fields__)
-    bad = set(d) - known
-    if bad:
-        raise ValueError(f"unknown scenario fields: {sorted(bad)}")
-    return ScenarioConfig(**d)
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-from .harness import (ConfigError, config_from_mapping, config_to_mapping,
+from .harness import (ConfigError, ConfigLoader, config_from_mapping, config_to_mapping,
                       evaluate_genome, import_channel_trace, load_config,
                       run_experiment, sweep)
 
@@ -56,7 +56,7 @@ def _parse_values(raw: str):
     for chunk in raw.split(","):
         chunk = chunk.strip()
         if chunk:
-            values.append(yaml.safe_load(chunk))
+            values.append(yaml.load(chunk, Loader=ConfigLoader))
     return values
 
 

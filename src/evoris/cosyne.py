@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ScenarioConfig, sample_episodes
 from .multiris import rollout_fitness
-from .numerics import derive_rng, derive_seed, make_rng, require_count, require_real
+from .numerics import check_fields, derive_rng, derive_seed, make_rng
 from .policy import save_genome
 # bench/run.py traces these two names here; fitness reaches them via the rollout
 from .policy import forward  # noqa: F401
@@ -49,10 +49,7 @@ class EvoParams:
     frozen_episodes: bool = False
 
     def __post_init__(self):
-        for name in ("l_pop", "generations", "t_e_train"):
-            require_count(name, getattr(self, name))
-        for name in ("p_mut", "sigma_mut", "init_sigma"):
-            require_real(name, getattr(self, name))
+        check_fields(self)
         if self.l_pop < 4:
             raise ValueError("l_pop must be >= 4 (the parent quartile would be empty)")
         if not 0.0 <= self.p_mut <= 1.0:

@@ -10,20 +10,19 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .baselines import LgaParams, exhaustive_oracle, lga_solve, random_baseline
-from .channel import (ChannelSet, ScenarioConfig, sample_episodes,
-                      scenario_from_mapping, scenario_to_mapping)
+from .channel import ChannelSet, ScenarioConfig, sample_episodes
 from .cosyne import EvoParams, resolve_workers, train
 from .multiris import AggregatorConfig, rollout
 # bench/run.py traces these two names here; trained kinds reach them via rollout
 from .multiris import agent_act, aggregate_precoder  # noqa: F401
-from .numerics import FieldError, derive_rng, derive_seed
+from .numerics import FieldError, check_fields, derive_rng, derive_seed
 from .policy import ArchConfig, FFConfig, load_genome
 from .system import evaluation_codebook, link_budget_from, snr
 
@@ -51,18 +50,16 @@ class ExperimentConfig:
     oracle_cap: int = 2 ** 20
 
     def __post_init__(self):
+        try:
+            check_fields(self)
+        except FieldError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.policy not in POLICY_KINDS:
             raise ConfigError(f"policy: unknown kind {self.policy!r}, "
                               f"expected one of {list(POLICY_KINDS)}")
-        for name in ("eval_episodes", "seed", "runs", "oracle_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        if not (isinstance(self.ff_hidden, (list, tuple)) and self.ff_hidden and all(
-                type(v) is int and v >= 1 for v in self.ff_hidden)):
+        if not self.ff_hidden or min(self.ff_hidden) < 1:
             raise ConfigError(f"ff_hidden: expected a list of positive integer layer "
-                              f"widths, got {self.ff_hidden!r}")
-        self.ff_hidden = tuple(self.ff_hidden)
+                              f"widths, got {list(self.ff_hidden)!r}")
         if self.eval_episodes < 1:
             raise ConfigError("eval_episodes: must be >= 1")
         if self.runs < 1:
@@ -108,74 +105,68 @@ METRIC_COLUMNS = ("run_id", "policy", "param_name", "param_value",
 
 # -- config (de)serialization ------------------------------------------------
 
-def _build_section(name, factory, mapping):
+def _build_section(name, cls, mapping, **defaults):
+    """``cls`` from the config section ``name``; ``defaults`` fill absent fields."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"{name}: expected a mapping, got {mapping!r}")
+    unknown = set(mapping) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{name}: unknown fields: {sorted(unknown)}")
     try:
-        return factory(mapping)
+        return cls(**{**defaults, **mapping})
     except FieldError as exc:
         raise ConfigError(f"{name}.{exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a mapping")
-    known = {"scenario", "arch", "evo", "lga", "aggregator", "policy",
-             "eval_episodes", "seed", "runs", "out_dir", "ff_hidden", "oracle_cap"}
-    bad = set(data) - known
+    bad = set(data) - {f.name for f in fields(ExperimentConfig)}
     if bad:
         raise ConfigError(f"unknown config fields: {sorted(bad)}")
 
-    scenario = _build_section("scenario", scenario_from_mapping,
-                              data.get("scenario", {}))
-    arch = _build_section("arch", lambda m: ArchConfig(**{
-        "n_tx": scenario.n_tx, "n_ris": scenario.n_ris, "codebook_size": scenario.n_tx,
-        **m}), data.get("arch", {}))
-    evo = _build_section("evo", lambda m: EvoParams(**m), data.get("evo", {}))
-    lga = _build_section("lga", lambda m: LgaParams(**m), data.get("lga", {}))
-
-    aggregator = None
+    scenario = _build_section("scenario", ScenarioConfig, data.get("scenario", {}))
+    arch = _build_section("arch", ArchConfig, data.get("arch", {}), n_tx=scenario.n_tx,
+                          n_ris=scenario.n_ris, codebook_size=scenario.n_tx)
+    sections = {"scenario": scenario, "arch": arch,
+                "evo": _build_section("evo", EvoParams, data.get("evo", {})),
+                "lga": _build_section("lga", LgaParams, data.get("lga", {})),
+                "aggregator": None}
     if data.get("aggregator") is not None:
-        aggregator = _build_section("aggregator", lambda m: AggregatorConfig(**{
-            "ris_count": scenario.ris_count, "codebook_size": arch.codebook_size, **m}),
-            data["aggregator"])
+        sections["aggregator"] = _build_section(
+            "aggregator", AggregatorConfig, data["aggregator"],
+            ris_count=scenario.ris_count, codebook_size=arch.codebook_size)
+    return ExperimentConfig(**{**data, **sections})
 
-    kwargs = {}
-    for key in ("policy", "eval_episodes", "seed", "runs", "out_dir", "ff_hidden",
-                "oracle_cap"):
-        if key in data:
-            kwargs[key] = data[key]
-    return ExperimentConfig(scenario=scenario, arch=arch, evo=evo, lga=lga,
-                            aggregator=aggregator, **kwargs)
+
+def _plain(value):
+    """``value`` with every tuple turned into a list, for the YAML writer."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return {k: _plain(v) for k, v in value.items()} if isinstance(value, dict) else value
 
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    data = {
-        "scenario": scenario_to_mapping(cfg.scenario),
-        "arch": asdict(cfg.arch),
-        "evo": asdict(cfg.evo),
-        "lga": asdict(cfg.lga),
-        "policy": cfg.policy,
-        "eval_episodes": cfg.eval_episodes,
-        "seed": cfg.seed,
-        "runs": cfg.runs,
-        "out_dir": cfg.out_dir,
-        "ff_hidden": list(cfg.ff_hidden),
-        "oracle_cap": cfg.oracle_cap,
-    }
-    data["arch"]["conv_channels"] = list(cfg.arch.conv_channels)
-    data["arch"]["phase_hidden"] = list(cfg.arch.phase_hidden)
-    if cfg.aggregator is not None:
-        data["aggregator"] = asdict(cfg.aggregator)
+    data = _plain(asdict(cfg))
+    if data["aggregator"] is None:
+        del data["aggregator"]
     return data
+
+
+class ConfigLoader(yaml.SafeLoader):
+    """Reads YAML 1.2 booleans: yes, no, on and off stay strings, which a flag refuses."""
+
+
+ConfigLoader.add_constructor("tag:yaml.org,2002:bool", lambda _, node: {
+    "true": True, "false": False}.get(node.value.lower(), node.value))
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if data is None:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ScenarioConfig, sample_episodes
-from .numerics import relu, softmax_global
+from .numerics import check_fields, relu, softmax_global
 from .policy import (ArchConfig, FFConfig, GenomeLayout, _memo_tx_ris_attention,
                      ff_forward_steps, forward, forward_steps, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
@@ -41,6 +41,7 @@ class AggregatorConfig:
     hidden: int = 16
 
     def __post_init__(self):
+        check_fields(self)
         if self.ris_count < 1 or self.codebook_size < 1:
             raise ValueError("ris_count and codebook_size must be >= 1")
         if self.hidden < 1:

@@ -8,8 +8,13 @@ PCG64 bit generator, never through module-level state.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import functools
 import hashlib
 import math
+import numbers
+import typing
 
 import numpy as np
 
@@ -21,17 +26,57 @@ class FieldError(ValueError):
     with the field's name, so a config section can prefix its own."""
 
 
-def require_count(name: str, value) -> None:
-    """Refuse a count ``value`` that is not an int (bools are not counts)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise FieldError(f"{name}: expected an integer, got {value!r}")
+# a scalar annotation: the instances it takes, and what they are
+_SCALARS = {int: (numbers.Integral, "an integer"),
+            float: (numbers.Real, "a finite real number"),
+            bool: (bool, "true or false"), str: (str, "a string")}
 
 
-def require_real(name: str, value) -> None:
-    """Refuse a rate ``value`` that is not a finite int or float (nor a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise FieldError(f"{name}: expected a finite real number, got {value!r}")
+def _convert(tp, v, neg_inf: bool = False):
+    """``v`` stored as annotation ``tp``; else FieldError, not yet naming the field."""
+    args = typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return v
+    if type(None) in args:
+        inner, = set(args) - {type(None)}
+        return v if v is None else _convert(inner, v, neg_inf)
+    if typing.get_origin(tp) is tuple:
+        count = "" if args[-1] is Ellipsis else f"{len(args)} "
+        if not isinstance(v, (list, tuple)) or count and len(v) != len(args):
+            raise FieldError(f"expected a list of {count}values, got {v!r}")
+        return tuple(_convert(args[0], x) for x in v)
+    kind, expected = _SCALARS[tp]
+    # a bool is no number, and only a bool is a flag
+    if isinstance(v, kind) and (tp is bool or not isinstance(v, bool)):
+        with contextlib.suppress(OverflowError):   # an int past float's range
+            if tp is not float or math.isfinite(v) or neg_inf and v == -math.inf:
+                return tp(v)
+    raise FieldError(f"expected {expected}{' or -inf' if neg_inf else ''}, got {v!r}")
+
+
+@functools.cache
+def _field_rules(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata.get("neg_inf", False))
+                 for f in dataclasses.fields(cls))
+
+
+def check_fields(obj) -> None:
+    """Store each field of the dataclass ``obj`` as its annotated type.
+
+    ``int`` takes any ``numbers.Integral``, ``float`` a finite ``numbers.Real``
+    (also ``-inf`` where the field's metadata holds ``neg_inf: True``), neither
+    a bool; ``bool`` only True or False; ``str`` a string; ``X | None`` also
+    None; ``tuple[T, ...]`` and ``tuple[T, T]`` a list or tuple of T values of
+    that length, stored as a tuple.  A field annotated with another dataclass
+    is left to that class.  Anything else raises FieldError("<field>: expected
+    <what>, got <value>"), which names the field for a tuple element too.
+    """
+    for name, tp, neg_inf in _field_rules(type(obj)):
+        try:
+            object.__setattr__(obj, name, _convert(tp, getattr(obj, name), neg_inf))
+        except FieldError as exc:
+            raise FieldError(f"{name}: {exc}") from None
 
 
 def make_rng(seed: int) -> np.random.Generator:

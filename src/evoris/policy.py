@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelSet
-from .numerics import conv2d_same, layer_norm, relu, sign_pm1, softmax_global
+from .numerics import check_fields, conv2d_same, layer_norm, relu, sign_pm1, softmax_global
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,12 @@ class ArchConfig:
     phase_states: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(int(c) for c in self.conv_channels))
-        object.__setattr__(self, "phase_hidden", tuple(int(c) for c in self.phase_hidden))
+        check_fields(self)
         if min(self.n_tx, self.n_ris, self.codebook_size) < 1:
             raise ValueError("n_tx, n_ris and codebook_size must be >= 1")
         if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
             raise ValueError("conv_kernel must be odd and positive")
-        if len(self.conv_channels) != 2 or min(self.conv_channels) < 1:
+        if min(self.conv_channels) < 1:
             raise ValueError("conv_channels must hold two positive channel counts")
         if not self.phase_hidden or min(self.phase_hidden) < 1:
             raise ValueError("phase_hidden must hold positive layer widths")
@@ -73,7 +72,7 @@ class FFConfig:
     hidden: tuple[int, ...] = (800, 600, 600, 500, 200)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(c) for c in self.hidden))
+        check_fields(self)
         if min(self.n_tx, self.n_ris, self.codebook_size, self.ris_count) < 1:
             raise ValueError("all size fields must be >= 1")
         if not self.hidden or min(self.hidden) < 1:

@@ -8,16 +8,15 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evoris.channel import (ScenarioConfig, sample_channel_set, sample_episodes,
-                            sample_ricean, scenario_from_mapping,
-                            scenario_to_mapping, steering_vector)
-from evoris.harness import load_config
+                            sample_ricean, steering_vector)
+from evoris.harness import config_from_mapping, config_to_mapping, load_config
 from evoris.numerics import make_rng
 
 WAVELENGTH = 0.1
@@ -184,14 +183,16 @@ def test_scenario_round_trip():
     cfg = small_scenario(ris_count=2,
                          ris_positions=((3.0, 3.0, 2.0), (6.0, 6.0, -2.0)),
                          direct_blocked=False, direct_attenuation_db=10.0)
-    assert scenario_from_mapping(scenario_to_mapping(cfg)) == cfg
+    mapping = config_to_mapping(config_from_mapping({"scenario": asdict(cfg)}))
+    assert mapping["scenario"]["ris_positions"] == [[3.0, 3.0, 2.0], [6.0, 6.0, -2.0]]
+    assert config_from_mapping(mapping).scenario == cfg
 
 
 def test_scenario_mapping_rejects_unknown_field():
-    d = scenario_to_mapping(small_scenario())
+    d = asdict(small_scenario())
     d["bandwidth"] = 20.0
-    with pytest.raises(ValueError):
-        scenario_from_mapping(d)
+    with pytest.raises(ValueError, match=re.escape("scenario: unknown fields: ['bandwidth']")):
+        config_from_mapping({"scenario": d})
 
 
 def test_scenario_rejects_duplicate_positions():

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line front end."""
 
+import csv
+import math
 import struct
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,7 +13,7 @@ from evoris import cli
 from evoris.channel import sample_episodes
 from evoris.cli import main
 from evoris.harness import (config_from_mapping, export_channel_trace,
-                            save_config)
+                            load_config, save_config)
 from evoris.numerics import make_rng
 
 
@@ -215,6 +217,7 @@ def test_phase_levels_of_a_binary_kind_are_one_error_line(config_path, tmp_path,
 
 
 COUNT, RATE = "an integer", "a finite real number"
+FLAG, KAPPA = "true or false", "a finite real number or -inf"
 
 
 @pytest.mark.parametrize("section,field,value,expected", [
@@ -223,18 +226,57 @@ COUNT, RATE = "an integer", "a finite real number"
     ("lga", "p_mut", "0.1", RATE), ("evo", "l_pop", 8.5, COUNT),
     ("evo", "generations", 2.5, COUNT), ("evo", "t_e_train", 1.5, COUNT),
     ("evo", "sigma_mut", "0.2", RATE), ("evo", "p_mut", float("nan"), RATE),
+    ("evo", "frozen_episodes", "no", FLAG), ("evo", "permutation_enabled", 0.0, FLAG),
+    ("arch", "direct_branch", "no", FLAG), ("arch", "conv_channels", [8.7, 8], COUNT),
+    ("arch", "phase_hidden", [16.5], COUNT), ("arch", "precoder_hidden", 64.5, COUNT),
+    ("arch", "conv_kernel", 3.0, COUNT), ("arch", "codebook_size", 4.0, COUNT),
+    ("arch", "conv_channels", "88", "a list of 2 values"),
+    ("scenario", "horizon", 50.5, COUNT), ("scenario", "episodes", 2.5, COUNT),
+    ("scenario", "direct_blocked", "no", FLAG), ("scenario", "kappa_h2_db", "10", KAPPA),
+    ("scenario", "tx_power_dbm", float("nan"), RATE), ("scenario", "n_ris", 16.0, COUNT),
+    ("scenario", "n_tx", True, COUNT), ("scenario", "kappa_h2_db", float("inf"), KAPPA),
+    ("scenario", "kappa_h_db", float("inf"), KAPPA),
+    ("scenario", "direct_attenuation_db", float("-inf"), RATE),
+    ("aggregator", "hidden", 16.5, COUNT), (None, "out_dir", 5, "a string"),
 ])
 def test_non_numeric_search_setting_is_one_error_line(config_path, tmp_path, capsys,
                                                       section, field, value, expected):
     data = yaml.safe_load(config_path.read_text())
-    data[section][field] = value
+    (data if section is None else data.setdefault(section, {}))[field] = value
     config_path.write_text(yaml.safe_dump(data))
     out = tmp_path / "run"
     rc = main(["train", "--config", str(config_path), "--out", str(out),
                "--policy", "lga" if section == "lga" else "attention"])
     assert rc == 1
+    name = field if section is None else f"{section}.{field}"
+    got = value[0] if isinstance(value, list) else value   # the list's first element is bad
+    assert one_error_line(capsys, out) == f"error: {name}: expected {expected}, got {got!r}"
+
+
+def test_rayleigh_ris_rx_link_trains_and_evaluates(config_path, tmp_path, capsys):
+    # a Ricean factor of -inf dB is the one infinity a config takes: no line of sight
+    data = yaml.safe_load(config_path.read_text())
+    data["scenario"]["kappa_h2_db"] = float("-inf")
+    config_path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(config_path), "--out", str(out),
+               "--policy", "attention"])
+    assert rc == 0
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        row, = csv.DictReader(fh)
+    assert math.isfinite(float(row["mean_snr_db"]))
+    resolved = load_config(out / "config_resolved.yaml")
+    assert resolved.scenario.kappa_h2_db == float("-inf")
+
+
+def test_sweep_value_no_is_not_a_flag(config_path, tmp_path, capsys):
+    # command-line values read YAML 1.2 booleans: only true and false
+    out = tmp_path / "run"
+    rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+               "--param", "evo.frozen_episodes", "--values", "no"])
+    assert rc == 1
     assert one_error_line(capsys, out) == \
-        f"error: {section}.{field}: expected {expected}, got {value!r}"
+        "error: evo.frozen_episodes: expected true or false, got 'no'"
 
 
 @pytest.mark.parametrize("field,value", [

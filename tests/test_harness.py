@@ -6,6 +6,8 @@ and the binary channel-trace interchange format.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def test_config_malformed_position_names_scenario_and_field():
     with pytest.raises(ConfigError) as err:
         config_from_mapping(tiny_mapping(scenario={"n_tx": 2, "n_ris": 4,
                                                    "tx_position": [0.0, 0.0]}))
-    assert str(err.value).startswith("scenario: tx_position")
+    assert str(err.value).startswith("scenario.tx_position: ")
 
 def test_config_rejects_unknown_top_level():
     with pytest.raises(ConfigError) as err:
@@ -103,12 +105,45 @@ def test_config_refuses_phase_levels_a_kind_cannot_decide(policy):
                        arch={"codebook_size": 2, "phase_states": 4}).arch.phase_states == 4
 
 
-def test_config_round_trip(tmp_path):
-    cfg = tiny_config(policy="attention")
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_config_round_trip(tmp_path, path):
+    first, second = tmp_path / "first.yaml", tmp_path / "second.yaml"
+    save_config(load_config(path), first)
+    save_config(load_config(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_numpy_numbers_are_accepted_and_saved_as_python_numbers(tmp_path):
+    n = np.int64
+    mapping = tiny_mapping(
+        scenario={"n_tx": n(2), "n_ris": n(4), "horizon": n(3), "episodes": n(2),
+                  "tx_power_dbm": np.float64(17.0)},
+        arch={"codebook_size": n(2), "conv_channels": [n(4), n(4)]},
+        evo={"l_pop": n(4), "generations": n(1), "t_e_train": n(2)},
+        lga={"individuals": n(4), "generations": n(2), "n_parents": n(2)},
+        aggregator={"hidden": n(8)}, ff_hidden=[n(16)], seed=n(7), oracle_cap=n(64))
     path = tmp_path / "config.yaml"
-    save_config(cfg, path)
+    save_config(config_from_mapping(mapping), path)
     loaded = load_config(path)
-    assert config_to_mapping(loaded) == config_to_mapping(cfg)
+    counts = [loaded.scenario.n_tx, *loaded.arch.conv_channels, loaded.evo.l_pop,
+              loaded.lga.n_parents, loaded.aggregator.hidden, *loaded.ff_hidden,
+              loaded.seed, loaded.oracle_cap]
+    assert counts == [2, 4, 4, 4, 2, 8, 16, 7, 64]
+    assert all(type(v) is int for v in counts)
+    assert type(loaded.scenario.tx_power_dbm) is float
+    assert loaded.scenario.tx_power_dbm == 17.0
+
+
+@pytest.mark.parametrize("section", ["scenario", "arch", "evo", "lga", "aggregator"])
+def test_config_section_refuses_unknown_field(section):
+    mapping = tiny_mapping(aggregator={})
+    mapping[section]["bandwidth"] = 20.0
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"{section}: unknown fields: ['bandwidth']")):
+        config_from_mapping(mapping)
 
 
 def test_config_aggregator_defaults():

@@ -4,16 +4,67 @@ Derived cases compare against independent straight-loop or closed-form
 reference implementations written inline, never against the kernel itself.
 """
 
+import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evoris.numerics import (conv2d_same, derive_rng, derive_seed, layer_norm,
-                             make_rng, relu, sign_pm1, softmax_global)
+from evoris.numerics import (FieldError, check_fields, conv2d_same, derive_rng,
+                             derive_seed, layer_norm, make_rng, relu, sign_pm1,
+                             softmax_global)
+
+
+# -- check_fields: the one rule for config fields ------------------------------
+
+@dataclass(frozen=True)
+class Fields:
+    count: int = 1
+    rate: float = 0.5
+    kappa: float | None = field(default=None, metadata={"neg_inf": True})
+    flag: bool = False
+    name: str = "x"
+    pair: tuple[int, int] = (1, 2)
+    points: tuple[tuple[float, float, float], ...] = ()
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def test_check_fields_stores_each_field_as_its_annotated_type():
+    f = Fields(count=np.int64(3), rate=Fraction(1, 4), kappa=-math.inf,
+               pair=[np.int32(4), 5], points=[[0, 1, np.float32(2.0)]])
+    assert f == Fields(count=3, rate=0.25, kappa=-math.inf, pair=(4, 5),
+                       points=((0.0, 1.0, 2.0),))
+    assert [type(v) for v in (f.count, f.rate, *f.pair, *f.points[0])] == \
+        [int, float, int, int, float, float, float]
+    assert Fields(kappa=None).kappa is None and Fields(kappa=3).kappa == 3.0
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("count", 2.0, "expected an integer, got 2.0"),
+    ("count", True, "expected an integer, got True"),
+    pytest.param("rate", 10 ** 400, "expected a finite real number, got 1" + "0" * 400,
+                 id="rate-int-past-float-range"),
+    ("rate", -math.inf, "expected a finite real number, got -inf"),
+    ("rate", "0.5", "expected a finite real number, got '0.5'"),
+    ("kappa", math.inf, "expected a finite real number or -inf, got inf"),
+    ("flag", 1, "expected true or false, got 1"),
+    ("name", 5, "expected a string, got 5"),
+    ("pair", (1, 2, 3), "expected a list of 2 values, got (1, 2, 3)"),
+    ("pair", "12", "expected a list of 2 values, got '12'"),
+    ("points", [[0, 1]], "expected a list of 3 values, got [0, 1]"),
+    ("points", [[0, 1, math.nan]], "expected a finite real number, got nan"),
+])
+def test_check_fields_refuses_a_value_naming_the_field(name, value, message):
+    with pytest.raises(FieldError) as err:
+        Fields(**{name: value})
+    assert str(err.value) == f"{name}: {message}"
 
 
 # -- rng plumbing -------------------------------------------------------------

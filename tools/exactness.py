@@ -45,8 +45,12 @@ print after the lines above, which keep their order.
 
 Last come the four lines of the centralized fully-connected policy,
 ``ff_cent`` on ``configs/multi_ris_desk.yaml`` (2 generations, ``l_pop`` 8),
-digested as the ``ff`` run is.  The library is imported from this checkout's
-``src/``, with BLAS pinned to one thread.
+digested as the ``ff`` run is.
+
+A ``saved`` line per config file under ``configs/`` ends the list: the SHA-256
+of the bytes ``harness.save_config`` writes for the loaded config, so a change
+to how configs are read or written shows too.  The library is imported from
+this checkout's ``src/``, with BLAS pinned to one thread.
 """
 
 from __future__ import annotations
@@ -205,6 +209,16 @@ def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[
     return lines
 
 
+def saved_config_digests(harness, tmp: Path) -> list[str]:
+    """One ``saved`` line per shipped config: SHA-256 of its ``save_config`` bytes."""
+    lines = []
+    for path in sorted((ROOT / "configs").glob("*.yaml")):
+        out = tmp / f"saved-{path.name}"
+        harness.save_config(harness.load_config(path), out)
+        lines.append(f"configs/{path.name} saved {sha256(out.read_bytes())}")
+    return lines
+
+
 def main() -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -225,6 +239,8 @@ def main() -> int:
                 print(line, flush=True)
         print(paper_lga_digest(harness), flush=True)
         for line in run_digests(harness, *FF_CENT_RUN, Path(tmp)):
+            print(line, flush=True)
+        for line in saved_config_digests(harness, Path(tmp)):
             print(line, flush=True)
     if digests[POOLED] != digests[SERIAL]:
         print(f"{POOLED} differs from {SERIAL}", file=sys.stderr)
