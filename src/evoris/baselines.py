@@ -1,8 +1,9 @@
 """Non-neural reference policies for per-block phase/precoder selection.
 
-All three act on one ChannelSet at a time: a small per-precoder genetic
-search over binary phase strings, an exhaustive enumerator for instances
-small enough to brute-force, and a uniform random control arm.
+A small per-precoder genetic search over binary phase strings, which takes
+one ChannelSet or a stack of them, an exhaustive enumerator for instances
+small enough to brute-force, and a uniform random control arm; the last two
+act on one ChannelSet at a time.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ class LgaParams:
 
 @dataclass
 class LgaResult:
+    """What ``lga_solve`` found: for one block its phases, beam and SNR; for a
+    stack of B blocks a list of B phases and (B,) arrays of beams and SNRs.
+    ``evaluations`` counts the strings scored, over the whole stack."""
+
     phases: object
-    precoder_index: int
-    gamma: float
+    precoder_index: int | np.ndarray
+    gamma: float | np.ndarray
     evaluations: int
 
 
@@ -75,17 +80,29 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
     return [flat[k * n:(k + 1) * n].copy() for k in range(cs.ris_count)]
 
 
-# Bytes a group may hold, counted per beam by ``_beam_bytes``.  A block's
-# beams are searched in the fewest near-equal groups under it.  Every desk
-# block (<= 48 kB) is one group; a paper-scale beam (individuals 15, n_bits
-# 400, 5 generations) holds 150 kB, so the 16 paper beams run in four groups
-# of four.  The block's draws come before the groups, outside this budget, and
-# do not depend on it.  On a 2 vCPU Xeon with one BLAS thread (``tools/ab.py
-# --paper --paths lga --lga-stream-changed``, 30 rounds of 50 paper blocks;
-# time over that of the search with per-beam draws this one replaced, at four
-# beams per group), one beam per group ran at 1.12, two at 0.93, four at
-# 0.84, eight at 0.82 and all 16 at 0.84.  Eight are within the ~3% an A/A run
-# reads of four, so the budget keeps four.
+# Bytes a group may hold, counted per beam by ``_beam_bytes``.  A stack of
+# blocks is searched in runs of blocks; each run makes its blocks' draws, in
+# block order, then evolves its (block, beam) rows in groups under this
+# budget: the fewest near-equal runs of whole blocks, one group each, or,
+# where one block's beams do not fit, each block alone in the fewest
+# near-equal groups of its beams.  A desk block holds 24 kB (48 kB with two
+# surfaces), so a 50-block desk episode runs in two groups of 25 blocks (four
+# of 12-13 with two surfaces); a paper-scale beam (individuals 15, n_bits 400,
+# 5 generations) holds 150 kB, so each paper block runs alone in four groups
+# of four beams.  The draws lie outside the budget, and the bits do not
+# depend on it.  On a 2 vCPU Xeon with one BLAS thread, time over that of one
+# search per block (``tools/ab.py --paths lga_eval``, 30 rounds of 5 desk
+# episodes; an A/A run read 1.00 and 1.01): budgets that fit 1, 2, 5, 10, 25
+# and 50 one-surface desk blocks ran at 1.03, 0.72, 0.57, 0.50, 0.53 and 0.49,
+# and on two-surface blocks (half as many fit; at the smallest budget, two
+# beams per group) at 1.39, 1.01, 0.79, 0.65, 0.61 and 0.58, with traced
+# peaks rising from 0.32 to 2.1 and from 0.53 to 2.2 MB; this budget read 0.48
+# and 0.58 at 1.2 and 1.4 MB.  On paper blocks (``--paper --paths lga
+# --lga-stream-changed``, 30 rounds of 50 blocks, against a search with
+# per-beam draws) one beam per group ran at 1.12, two at 0.93, four at 0.84,
+# eight at 0.82 and all 16 at 0.84.  Eight are within the ~3% an A/A run reads
+# of four, so the budget keeps four paper beams per group, which also puts it
+# on the desk plateau.
 LGA_GROUP_BYTES = 640 << 10
 
 
@@ -93,21 +110,77 @@ def _beam_bytes(n_ind: int, n_off: int, n_gen: int, n_bits: int) -> int:
     """Bytes one beam's search works on in a group: the population and its
     ranked copy (float64), the crossover masks and flips (bool), the best
     string of each generation (float64) and the projected cascade's real and
-    imaginary parts.  The population and flips are the beam's rows of the
-    block-wide draws, allocated before the groups, outside the budget."""
+    imaginary parts.  The population and flips are the beam's rows of its
+    block's draws, allocated before its first group, outside the budget."""
     return 8 * n_bits * (2 * n_ind + n_gen + 2) + 2 * n_gen * n_off * n_bits
+
+
+def _runs(n: int, cap: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest near-equal runs of ``n`` items holding at
+    most ``cap`` items each (one at least)."""
+    count = -(-n // max(1, cap))
+    bounds = [n * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _beam_groups(n_v: int, beam_bytes: int) -> list[tuple[int, int]]:
     """(start, stop) of the fewest near-equal runs of ``n_v`` beams whose
     ``beam_bytes`` each fit ``LGA_GROUP_BYTES`` (one beam at least)."""
-    groups = -(-n_v // max(1, LGA_GROUP_BYTES // beam_bytes))
-    bounds = [n_v * i // groups for i in range(groups + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return _runs(n_v, LGA_GROUP_BYTES // beam_bytes)
 
 
-def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
-              params: LgaParams, rng: np.random.Generator,
+def _groups(n_b: int, n_v: int, beam_bytes: int):
+    """((block start, stop), beam runs) of each run of blocks a stack of
+    ``n_b`` blocks of ``n_v`` beams is searched in, its rows evolving in one
+    group per beam run: the fewest near-equal runs of whole blocks that fit
+    ``LGA_GROUP_BYTES``, each in one group of all its beams, or, where one
+    block does not fit, each block alone in its ``_beam_groups``."""
+    fit = LGA_GROUP_BYTES // (n_v * beam_bytes)
+    if fit:
+        return [(blocks, [(0, n_v)]) for blocks in _runs(n_b, fit)]
+    beam_runs = _beam_groups(n_v, beam_bytes)
+    return [((i, i + 1), beam_runs) for i in range(n_b)]
+
+
+def _projector(blocks) -> np.ndarray:
+    """(B, 1 + n_bits, n_tx) per block: row 0 projects a beam onto the direct
+    path (b0), the rest onto the cascade (z).  Each block's matrix is
+    ``_cascade_matrix``'s transpose below conj(h), with the same elementwise
+    products and the layout a ``vstack`` of the two has, which the
+    projection's products depend on: column-major, or row-major when a
+    single row or column makes both parts row-major too."""
+    h1 = np.array([b.h1_list for b in blocks])
+    n_b, k, n_tx, n = h1.shape
+    proj = np.empty((n_b, n_tx, 1 + k * n), dtype=np.complex128)
+    proj[:, :, 0] = np.conj([b.h for b in blocks])
+    np.multiply(np.conj(h1).transpose(0, 2, 1, 3),
+                np.conj([b.h2_list for b in blocks])[:, None],
+                out=proj[:, :, 1:].reshape(n_b, n_tx, k, n))
+    proj = proj.transpose(0, 2, 1)
+    return np.ascontiguousarray(proj) if k * n == 1 or n_tx == 1 else proj
+
+
+def _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits, p_mut, init):
+    """The draws of ``n_c`` consecutive blocks as (n_c, n_v, ...) arrays of
+    initial populations, crossover points and flips; each block makes its
+    calls in ``lga_solve``'s order before the next block's."""
+    pops = np.empty((n_c, n_v, n_ind, n_bits)) if init is None \
+        else np.tile(init, (n_c, n_v, 1, 1))
+    points = np.zeros((n_c, n_v, n_gen, n_off), dtype=np.int64)
+    flips = np.empty((n_c, n_v, n_gen, n_off, n_bits), dtype=bool)
+    for i in range(n_c):
+        if init is None:
+            np.multiply(rng.integers(0, 2, size=pops.shape[1:]), 2.0, out=pops[i])
+        if n_bits > 1:
+            points[i] = rng.integers(1, n_bits, size=points.shape[1:])
+        np.less(rng.random(flips.shape[1:]), p_mut, out=flips[i])
+    if init is None:
+        pops -= 1.0
+    return pops, points, flips
+
+
+def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
+              codebook: np.ndarray, params: LgaParams, rng: np.random.Generator,
               init: np.ndarray | None = None) -> LgaResult:
     """Best (phases, precoder) found by an independent genetic search per beam.
 
@@ -117,15 +190,22 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     generation.  ``init`` optionally seeds each per-beam search with a fixed
     starting population.
 
+    ``cs`` is one ChannelSet, or a list of B blocks with equal antenna,
+    surface and element counts.  A stack gives an ``LgaResult`` whose
+    ``phases`` is a list of the B blocks' phases, ``precoder_index`` an int64
+    and ``gamma`` a float64 array of B entries, and ``evaluations`` the total
+    over the blocks, an int.  Every block's result, and the stream's end
+    state, are those of one-block calls on the blocks in order.
+
     With the beam v fixed, a string of phases p reflects with coefficients
     -p, and its SNR is ``scale * |b0 - p @ z|^2`` with ``b0 = conj(h) @ v``
     and the projected cascade ``z = B^T v`` (n_bits values; Zhang et al.,
     IEEE JSTSP 2022), so each beam's fitness takes two real products of its
     population with z's real and imaginary parts.
 
-    No draw depends on a fitness, so the block makes all of its draws first,
-    in at most three calls, with n_v beams and n_off = individuals - n_parents
-    offspring:
+    No draw depends on a fitness, so each block makes all of its draws
+    first, in at most three calls, with n_v beams and n_off = individuals -
+    n_parents offspring:
 
     1. the initial populations, ``rng.integers(0, 2, size=(n_v, individuals,
        n_bits)) * 2.0 - 1.0``, skipped when ``init`` is given (every beam
@@ -135,15 +215,28 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
     3. the flips, ``rng.random((n_v, generations, n_off, n_bits)) < p_mut``
        (breeding follows the last generation too).
 
-    Each group of beams (see ``LGA_GROUP_BYTES``) then evolves on its rows of
-    these as one (beams, individuals, n_bits) stack, with per beam the same
-    products, sort and breeding as a search run alone, so neither the result
-    nor the stream's end state depends on the grouping.  Raises ValueError
-    when the codebook is not (n_tx, beams) with a beam at least, and when the
-    best SNR found is not finite (every SNR NaN, or an overflow).
+    The stack's (block, beam) rows then evolve in groups (see
+    ``LGA_GROUP_BYTES``): runs of whole blocks, which make their draws block
+    by block when the run starts, or the beam runs of one block, which makes
+    its draws at its first run.  A group evolves as one (rows, individuals,
+    n_bits) stack, with per row the same products, sort and breeding as a
+    beam searched alone, so neither the results nor the stream's end state
+    depend on the grouping or on the stacking.  Raises ValueError when the
+    stack is empty or its blocks differ in shape, when the codebook is not
+    (n_tx, beams) with a beam at least, and when a block's best SNR found is
+    not finite (every SNR NaN, or an overflow).
     """
-    _require_codebook(cs, codebook)
-    n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
+    stacked = isinstance(cs, (list, tuple))
+    blocks = cs if stacked else [cs]
+    if not blocks:
+        raise ValueError("lga_solve needs one block at least")
+    _require_codebook(blocks[0], codebook)
+    sizes = [h2.shape for h2 in blocks[0].h2_list]
+    if any(b.h.shape != blocks[0].h.shape or [h2.shape for h2 in b.h2_list] != sizes
+           for b in blocks):
+        raise ValueError("every block of a stack needs the same antenna, surface "
+                         "and element counts")
+    n_bits = sum(shape[0] for shape in sizes)
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, params.individuals // 2)
@@ -156,66 +249,84 @@ def lga_solve(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
         if not np.all(np.isin(init, (-1.0, 1.0))):
             raise ValueError("init population entries must be -1 or +1")
 
-    # row 0 projects a beam onto the direct path (b0), the rest onto the
-    # cascade (z)
-    proj = np.vstack([np.conj(cs.h), _cascade_matrix(cs).T])
     scale = budget.tx_power_w / budget.noise_power_w
     # child j crosses the rank-ordered parents j and j + 1 (cyclically)
     p1 = np.arange(n_off) % n_parents
     p2 = (p1 + 1) % n_parents
     bit = np.arange(n_bits)
 
-    n_v = codebook.shape[1]
-    # the block's three draws; each group evolves on views of them
-    if init is None:
-        pops = rng.integers(0, 2, size=(n_v, n_ind, n_bits)) * 2.0 - 1.0
-    else:
-        pops = np.repeat(init[None], n_v, axis=0)
-    points = rng.integers(1, n_bits, size=(n_v, n_gen, n_off)) if n_bits > 1 \
-        else np.zeros((n_v, n_gen, n_off), dtype=np.int64)
-    flips = rng.random((n_v, n_gen, n_off, n_bits)) < p_mut
-    best_gamma, best_flat, best_idx = -1.0, None, -1
-    for a, b in _beam_groups(n_v, _beam_bytes(n_ind, n_off, n_gen, n_bits)):
-        g = b - a
-        pop = pops[a:b]
-        second = bit >= points[a:b, ..., None]
-        # each beam's column keeps the strides of codebook[:, v], so its
-        # projection is the one-column product a beam searched alone makes
-        bz = np.matmul(proj, codebook[:, a:b].T[:, :, None])
-        b0 = bz[:, 0]
-        z_re = np.ascontiguousarray(bz[:, 1:].real)
-        z_im = np.ascontiguousarray(bz[:, 1:].imag)
-        rows = np.arange(g)[:, None] * n_ind
-        ranked = np.empty_like(pop)
-        tops = np.empty((g, n_gen))
-        firsts = np.empty((g, n_gen, n_bits))
-        for gen in range(n_gen):
-            re = b0.real - np.matmul(pop, z_re)[..., 0]
-            im = b0.imag - np.matmul(pop, z_im)[..., 0]
-            gammas = scale * (re * re + im * im)
-            order = rows + np.argsort(-gammas, axis=1, kind="stable")
-            pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
-            pop, ranked = ranked, pop
-            tops[:, gen] = gammas.reshape(-1)[order[:, 0]]
-            firsts[:, gen] = pop[:, 0]
-            # single-point crossover: bits before the point come from the
-            # first parent, the rest from the second; then the flips
-            children = pop[:, n_parents:]
-            pop.take(p1, axis=1, out=children)
-            np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
-            np.negative(children, out=children, where=flips[a:b, gen])
-        # a one-beam-at-a-time scan keeps the first strictly better top, so
-        # the earliest maximum in beam-major order; NaN tops never win
-        seq = np.where(tops > best_gamma, tops, -np.inf).ravel()
-        k = int(np.argmax(seq))
-        if seq[k] > best_gamma:
-            best_gamma, best_idx = float(seq[k]), a + k // n_gen
-            best_flat = firsts.reshape(-1, n_bits)[k]
-    if best_flat is None or not np.isfinite(best_gamma):
-        raise ValueError("lga_solve found no finite best SNR; the channels or "
-                         "the link budget are not finite")
-    return LgaResult(phases=_split_phases(cs, best_flat), precoder_index=best_idx,
-                     gamma=best_gamma, evaluations=n_v * n_gen * n_ind)
+    n_b, n_v = len(blocks), codebook.shape[1]
+    best_gamma = np.full(n_b, -1.0)
+    best_idx = np.zeros(n_b, dtype=np.int64)
+    best_flat = np.zeros((n_b, n_bits))
+
+    def search(c0, c1, beam_runs):
+        # one run of blocks: its draws, then one group per run of beams; the
+        # run's arrays are freed before the next run draws
+        n_c = c1 - c0
+        pops, points, flips = _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits,
+                                     p_mut, init)
+        proj = _projector(blocks[c0:c1])
+        for o0, o1 in beam_runs:
+            width = o1 - o0
+            g = n_c * width
+            pop = pops[:, o0:o1].reshape(g, n_ind, n_bits)
+            second = bit >= points[:, o0:o1].reshape(g, n_gen, n_off)[..., None]
+            flip = flips[:, o0:o1].reshape(g, n_gen, n_off, n_bits)
+            # each beam's column keeps the strides of codebook[:, v], so its
+            # projection is the one-column product a beam searched alone makes
+            bz = np.matmul(proj[:, None], codebook[:, o0:o1].T[None, :, :, None])
+            bz = bz.reshape(g, n_bits + 1, 1)
+            b0 = bz[:, 0]
+            z_re = np.ascontiguousarray(bz[:, 1:].real)
+            z_im = np.ascontiguousarray(bz[:, 1:].imag)
+            rows = np.arange(g)[:, None] * n_ind
+            ranked = np.empty_like(pop)
+            tops = np.empty((g, n_gen))
+            firsts = np.empty((g, n_gen, n_bits))
+            for gen in range(n_gen):
+                re = b0.real - np.matmul(pop, z_re)[..., 0]
+                im = b0.imag - np.matmul(pop, z_im)[..., 0]
+                gammas = scale * (re * re + im * im)
+                order = rows + np.argsort(-gammas, axis=1, kind="stable")
+                pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
+                pop, ranked = ranked, pop
+                tops[:, gen] = gammas.reshape(-1)[order[:, 0]]
+                firsts[:, gen] = pop[:, 0]
+                # single-point crossover: bits before the point come from the
+                # first parent, the rest from the second; then the flips
+                children = pop[:, n_parents:]
+                pop.take(p1, axis=1, out=children)
+                np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
+                np.negative(children, out=children, where=flip[:, gen])
+            # a one-beam-at-a-time scan keeps the first strictly better top, so
+            # per block the earliest maximum in beam-major order; NaN tops
+            # never win
+            held = best_gamma[c0:c1]
+            tops = tops.reshape(n_c, width * n_gen)
+            seq = np.where(tops > held[:, None], tops, -np.inf)
+            k = np.argmax(seq, axis=1)
+            top = seq[np.arange(n_c), k]
+            won = top > held
+            held[won] = top[won]
+            best_idx[c0:c1][won] = o0 + k[won] // n_gen
+            best_flat[c0:c1][won] = firsts.reshape(n_c, width * n_gen, n_bits)[won, k[won]]
+
+    for (c0, c1), beam_runs in _groups(n_b, n_v, _beam_bytes(n_ind, n_off, n_gen, n_bits)):
+        search(c0, c1, beam_runs)
+    bad = np.flatnonzero(~(np.isfinite(best_gamma) & (best_gamma >= 0.0)))
+    if bad.size:
+        where = f" on block {bad[0]}" if stacked else ""
+        raise ValueError(f"lga_solve found no finite best SNR{where}; the channels "
+                         "or the link budget are not finite")
+    evaluations = n_v * n_gen * n_ind
+    if not stacked:
+        return LgaResult(phases=_split_phases(cs, best_flat[0]),
+                         precoder_index=int(best_idx[0]), gamma=float(best_gamma[0]),
+                         evaluations=evaluations)
+    return LgaResult(phases=[_split_phases(b, flat) for b, flat in zip(blocks, best_flat)],
+                     precoder_index=best_idx, gamma=best_gamma,
+                     evaluations=n_b * evaluations)
 
 
 def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,

@@ -206,8 +206,10 @@ def evaluate_policy(cfg: ExperimentConfig, genome=None, policy_cfg=None,
 
     Returns (per-episode gamma arrays, candidate-evaluation count).  Trained
     kinds act deterministically (argmax), each episode as one batched
-    ``rollout``; per-block searchers and the random arm consume the
-    evaluation policy stream.
+    ``rollout``.  The genetic search and the random arm consume the
+    evaluation policy stream block by block, in order; each episode is one
+    stacked ``lga_solve``, or for the random arm its blocks' draws followed
+    by one stacked ``snr``.  The exhaustive oracle searches block by block.
     """
     scenario = cfg.scenario
     episodes = sample_episodes(scenario, cfg.eval_episodes, scenario.horizon,
@@ -222,21 +224,22 @@ def evaluate_policy(cfg: ExperimentConfig, genome=None, policy_cfg=None,
     per_episode = []
     evaluations = 0
     for episode in episodes:
-        gammas = np.empty(len(episode))
-        for i, cs in enumerate(episode):
-            if cfg.policy == "lga":
-                res = lga_solve(cs, budget, codebook, cfg.lga, policy_rng)
-                gammas[i] = res.gamma
-                evaluations += res.evaluations
-            elif cfg.policy == "oracle":
-                _, _, gstar = exhaustive_oracle(cs, budget, codebook,
-                                                cap=cfg.oracle_cap)
-                gammas[i] = gstar
-                evaluations += (1 << n_bits) * codebook.shape[1]
-            else:
-                phases, idx = random_baseline(cs, codebook, policy_rng)
-                gammas[i] = snr(cs, phases, codebook[:, idx], budget)
-                evaluations += 1
+        if cfg.policy == "lga":
+            res = lga_solve(episode, budget, codebook, cfg.lga, policy_rng)
+            gammas = res.gamma
+            evaluations += res.evaluations
+        elif cfg.policy == "random":
+            picks = [random_baseline(cs, codebook, policy_rng) for cs in episode]
+            phases = np.reshape([p for p, _ in picks],
+                                (len(episode), scenario.ris_count, scenario.n_ris))
+            gammas = snr(episode, phases, [codebook[:, i] for _, i in picks], budget)
+            evaluations += len(episode)
+        else:
+            gammas = np.empty(len(episode))
+            for i, cs in enumerate(episode):
+                _, _, gammas[i] = exhaustive_oracle(cs, budget, codebook,
+                                                    cap=cfg.oracle_cap)
+            evaluations += len(episode) * (1 << n_bits) * codebook.shape[1]
         per_episode.append(gammas)
     return per_episode, evaluations
 
@@ -342,15 +345,7 @@ def set_config_parameter(cfg: ExperimentConfig, parameter: str, value):
     of that size, so a sweep over the array sizes keeps the two in step.
     """
     mapping = config_to_mapping(cfg)
-    parts = parameter.split(".")
-    node = mapping
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"sweep parameter {parameter!r}: no section {p!r}")
-        node = node[p]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"sweep parameter {parameter!r}: no field {leaf!r}")
+    node, leaf = _config_field(mapping, parameter)
     node[leaf] = value
     if parameter in ("scenario.n_tx", "scenario.n_ris"):
         mapping["arch"][leaf] = value
@@ -367,7 +362,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, *,
     """
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep parameter: must be a non-empty dotted path")
-    _read_config_parameter(cfg, parameter)
+    _config_field(config_to_mapping(cfg), parameter)
     records = []
     base_out = Path(cfg.out_dir) if cfg.out_dir is not None else None
     for value in values:
@@ -385,14 +380,18 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, *,
     return records
 
 
-def _read_config_parameter(cfg: ExperimentConfig, parameter: str):
-    mapping = config_to_mapping(cfg)
+def _config_field(mapping: dict, parameter: str) -> tuple[dict, str]:
+    """(mapping that holds it, leaf name) of the dotted path ``parameter`` in a
+    config mapping; a path that leaves the mapping raises ConfigError naming
+    its first prefix that is not there."""
+    parts = parameter.split(".")
     node = mapping
-    for p in parameter.split("."):
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"sweep parameter {parameter!r}: no field {p!r}")
-        node = node[p]
-    return node
+    for depth, part in enumerate(parts, 1):
+        if not isinstance(node, dict) or part not in node:
+            raise ConfigError(f"sweep parameter {parameter!r}: no field "
+                              f"{'.'.join(parts[:depth])!r}")
+        parent, node = node, node[part]
+    return parent, parts[-1]
 
 
 def _write_plot_data(records, out_path: Path, parameter: str) -> None:

@@ -207,6 +207,92 @@ def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def assert_stack_equals_block_calls(blocks, budget, cb, params, init, seed):
+    """A stacked search of ``blocks`` against one-block calls in order, and
+    against the per-beam reference, on one stream each: every block's gamma,
+    beam and phases, the evaluation total (an int) and the end state."""
+    rng_ref, rng_one, rng = make_rng(seed), make_rng(seed), make_rng(seed)
+    res = lga_solve(blocks, budget, cb, params, rng, init=init)
+    assert type(res.evaluations) is int
+    assert res.gamma.dtype == np.float64 and res.gamma.shape == (len(blocks),)
+    assert res.precoder_index.dtype == np.int64 and len(res.phases) == len(blocks)
+    evaluations = 0
+    for i, cs in enumerate(blocks):
+        phases, idx, gamma, count = per_beam_lga(cs, budget, cb, params, rng_ref, init)
+        one = lga_solve(cs, budget, cb, params, rng_one, init=init)
+        assert res.gamma[i] == one.gamma == gamma, i
+        assert res.precoder_index[i] == one.precoder_index == idx, i
+        got = [res.phases[i]] if cs.ris_count == 1 else res.phases[i]
+        assert len(got) == len(phases)
+        assert all(np.array_equal(a, b) for a, b in zip(got, phases))
+        assert np.array_equal(res.phases[i], one.phases)
+        evaluations += one.evaluations
+        assert one.evaluations == count
+    assert res.evaluations == evaluations
+    assert rng.bit_generator.state == rng_one.bit_generator.state \
+        == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("group_bytes", [1, 20_000, baselines.LGA_GROUP_BYTES, 1 << 30])
+def test_lga_stack_equals_one_block_calls(monkeypatch, group_bytes):
+    # stacks of 1-4 blocks shaped as each edge case, the case's own block
+    # first, the others with open and blocked direct paths; searched one beam
+    # per group, a block or a few per group, in the shipped groups, and all
+    # in one group
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
+    budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
+    rng = make_rng(34)
+    for seed, (cs, cb, params, init) in enumerate(lga_edge_cases()):
+        n_tx, k, n_ris = cs.h.shape[0], cs.ris_count, cs.h2_list[0].shape[0]
+        blocks = [cs] + [random_channel_set(rng, n_tx, n_ris, k=k, direct=j % 2 == 0)
+                         for j in range(seed % 4)]
+        assert_stack_equals_block_calls(blocks, budget, cb, params, init, 200 + seed)
+
+
+@pytest.mark.parametrize("group_bytes", [1, baselines.LGA_GROUP_BYTES, 1 << 30])
+def test_lga_paper_stack_equals_one_block_calls(monkeypatch, group_bytes):
+    # three configs/single_ris.yaml blocks, whose line-of-sight H1 is one
+    # array shared by every block
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
+    cfg = load_config(CONFIGS / "single_ris.yaml")
+    (blocks,) = sample_episodes(cfg.scenario, 1, 3, derive_rng(cfg.seed, "eval", "channels"))
+    cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
+    assert_stack_equals_block_calls(blocks, link_budget_from(cfg.scenario), cb, cfg.lga,
+                                    None, 35)
+
+
+@pytest.mark.parametrize("group_bytes", [1, 1 << 30])
+def test_lga_stack_ties_go_to_the_lowest_beam(monkeypatch, group_bytes):
+    # on a zero block every string of every beam scores 0: the first beam's
+    # first top wins, whether each beam is its own group or all share one
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
+    rng = make_rng(40)
+    blocks = [zero_channel_set(4, 3), random_channel_set(rng, 4, 3), zero_channel_set(4, 3)]
+    assert_stack_equals_block_calls(blocks, UNIT, dft_codebook(4), LgaParams(), None, 41)
+    res = lga_solve(blocks, UNIT, dft_codebook(4), LgaParams(), make_rng(41))
+    assert res.precoder_index[0] == res.precoder_index[2] == 0
+
+
+def test_lga_stack_names_a_block_without_a_finite_best():
+    rng = make_rng(36)
+    blocks = [random_channel_set(rng, 2, 4) for _ in range(3)]
+    blocks[1].h[0] = np.nan
+    with pytest.raises(ValueError, match="no finite best SNR on block 1"), \
+            np.errstate(invalid="ignore"):
+        lga_solve(blocks, UNIT, dft_codebook(2), LgaParams(), make_rng(37))
+
+
+@pytest.mark.parametrize("blocks", [[], "mixed sizes", "mixed surfaces"])
+def test_lga_refuses_an_empty_or_mixed_stack(blocks):
+    rng = make_rng(38)
+    if blocks == "mixed sizes":
+        blocks = [random_channel_set(rng, 2, 4), random_channel_set(rng, 2, 5)]
+    elif blocks == "mixed surfaces":
+        blocks = [random_channel_set(rng, 2, 4), random_channel_set(rng, 2, 2, k=2)]
+    with pytest.raises(ValueError, match="one block at least|same antenna"):
+        lga_solve(blocks, UNIT, dft_codebook(2), LgaParams(), make_rng(39))
+
+
 def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
     def sizes(n_v, beam_bytes):
         return [b - a for a, b in baselines._beam_groups(n_v, beam_bytes)]
@@ -221,6 +307,13 @@ def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
     assert sizes(4, baselines._beam_bytes(15, 8, 5, 32)) == [4]
     # a beam over the budget still runs, alone
     assert sizes(3, 2 * baselines.LGA_GROUP_BYTES) == [1, 1, 1]
+    # a 50-block desk episode runs in two groups of 25 blocks, four of 12-13
+    # with two surfaces; each paper block runs alone in its four beam groups
+    desk, desk_multi = (baselines._beam_bytes(15, 8, 5, n) for n in (16, 32))
+    assert baselines._groups(50, 4, desk) == [((0, 25), [(0, 4)]), ((25, 50), [(0, 4)])]
+    assert [b - a for (a, b), _ in baselines._groups(50, 4, desk_multi)] == [12, 13, 12, 13]
+    assert baselines._groups(2, 16, paper) == [
+        ((i, i + 1), [(0, 4), (4, 8), (8, 12), (12, 16)]) for i in range(2)]
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", 600_000)
     assert sizes(16, 96_000) == [5, 5, 6]
 

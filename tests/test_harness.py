@@ -7,6 +7,7 @@ and the binary channel-trace interchange format.
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,8 @@ from evoris.harness import (ConfigError, ExperimentConfig, MetricRecord,
                             import_channel_trace, load_config, run_experiment,
                             save_config, set_config_parameter, sweep,
                             trained_policy_configs)
-from evoris.numerics import make_rng
+from evoris.baselines import lga_solve, random_baseline
+from evoris.numerics import derive_rng, make_rng
 from evoris.policy import forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
 
@@ -288,6 +290,21 @@ def test_sweep_rejects_unknown_parameter():
         sweep(tiny_config(), "scenario.bandwidth", [1.0])
 
 
+@pytest.mark.parametrize("parameter, missing", [("scenaro.n_tx", "scenaro"),
+                                                ("scenario.bandwidth", "scenario.bandwidth"),
+                                                ("seed.value", "seed.value")])
+def test_bad_sweep_path_reads_the_same_up_front_and_per_value(parameter, missing):
+    # sweep checks the path before its first point; set_config_parameter,
+    # which each point calls, must refuse it with the same message
+    cfg = tiny_config()
+    with pytest.raises(ConfigError) as up_front:
+        sweep(cfg, parameter, [1.0])
+    with pytest.raises(ConfigError) as per_value:
+        set_config_parameter(cfg, parameter, 1.0)
+    assert str(up_front.value) == str(per_value.value) == \
+        f"sweep parameter {parameter!r}: no field {missing!r}"
+
+
 def test_sweep_oracle_monotone_in_power(tmp_path):
     cfg = tiny_config(policy="oracle", out_dir=str(tmp_path / "s"))
     records = sweep(cfg, "scenario.tx_power_dbm", [10.0, 20.0, 30.0, 40.0])
@@ -426,3 +443,43 @@ def test_single_record_trace_drives_frozen_evaluation(tmp_path):
     direct = snr(cs, out.phases, cb[:, out.precoder_index],
                  link_budget_from(cfg.scenario))
     assert f == direct
+
+
+# -- per-block baselines -----------------------------------------------------------
+
+def per_block_evaluation(cfg):
+    """(per-episode gammas, evaluations) of ``policy: lga`` or ``random``,
+    taken one block at a time on the evaluation streams."""
+    scenario = cfg.scenario
+    episodes = sample_episodes(scenario, cfg.eval_episodes, scenario.horizon,
+                               derive_rng(cfg.seed, "eval", "channels"))
+    budget = link_budget_from(scenario)
+    codebook = evaluation_codebook(scenario, cfg.arch.codebook_size)
+    rng = derive_rng(cfg.seed, "eval", "policy")
+    per_episode, evaluations = [], 0
+    for episode in episodes:
+        gammas = []
+        for cs in episode:
+            if cfg.policy == "lga":
+                res = lga_solve(cs, budget, codebook, cfg.lga, rng)
+                gammas.append(res.gamma)
+                evaluations += res.evaluations
+            else:
+                phases, idx = random_baseline(cs, codebook, rng)
+                gammas.append(snr(cs, phases, codebook[:, idx], budget))
+                evaluations += 1
+        per_episode.append(np.array(gammas))
+    return per_episode, evaluations
+
+
+@pytest.mark.parametrize("policy", ["lga", "random"])
+@pytest.mark.parametrize("config", ["single_ris_desk.yaml", "multi_ris_desk.yaml"])
+def test_baseline_evaluation_equals_a_per_block_loop(config, policy):
+    cfg = replace(load_config(CONFIGS[0].parent / config), policy=policy,
+                  eval_episodes=3)
+    per_episode, evaluations = harness.evaluate_policy(cfg)
+    want, want_evaluations = per_block_evaluation(cfg)
+    assert type(evaluations) is int and evaluations == want_evaluations
+    assert len(per_episode) == len(want) == 3
+    for got, ref in zip(per_episode, want):
+        assert got.dtype == np.float64 and np.array_equal(got, ref)

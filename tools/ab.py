@@ -1,7 +1,8 @@
 """In-process A/B of two checkouts: the same inputs through both, alternately.
 
     python3 tools/ab.py --base DIR [--change DIR] [--rounds 30] [--paper]
-                        [--paths train,eval,decide,lga] [--lga-stream-changed]
+                        [--paths train,eval,decide,lga,lga_eval]
+                        [--lga-stream-changed]
 
 Copies each checkout's ``src/evoris`` into a temporary directory under its own
 package name (``evoris_base``, ``evoris_change``; the package imports itself
@@ -9,7 +10,7 @@ relatively, so each copy runs its own code) and imports both into this
 process.  ``--change`` defaults to this checkout; ``--base`` is typically a
 ``git archive`` of the parent commit.  For each of ``configs/single_ris_desk.yaml``
 and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
-``--paper``) it times four paths:
+``--paper``) it times five paths:
 
 - ``train``: ``multiris.rollout`` in sample mode of a training block
   (``t_e_train`` episodes of 25 steps) for each of 20 seeded genomes, each
@@ -20,14 +21,19 @@ and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
 - ``decide``: one-block argmax decisions of the first genome on the first 200
   blocks of the evaluation block, through ``policy.forward`` for one surface,
   or ``multiris.agent_act`` per surface plus ``multiris.aggregate_precoder``;
-- ``lga``: ``harness.lga_solve`` with the config's ``lga`` settings on the
-  first 50 blocks of the evaluation block, drawing from a policy stream
-  seeded per round, as harness evaluation of ``policy: lga`` does.
+- ``lga``: ``harness.lga_solve`` with the config's ``lga`` settings, one
+  block per call, on the first 50 blocks of the evaluation block, drawing
+  from a policy stream seeded per round;
+- ``lga_eval``: ``harness.evaluate_policy`` with ``policy: lga`` and a quarter
+  of the config's ``eval_episodes`` (the bench's LGA unit), its channels and
+  policy stream seeded by the round, which runs on any tree whatever
+  ``lga_solve`` takes.
 
 Round r draws its channel blocks from seed r; each tree samples them with its
 own code.  The two trees run each path back to back, the base first on even
 rounds, and their outputs (gammas; phases, picks and precoder probabilities)
-must be bitwise equal, else the tool stops with status 1.  ``lga`` is the one
+must be bitwise equal, else the tool stops with status 1 (for ``lga_eval``
+the per-episode gammas and the evaluation count).  ``lga`` is the one
 path compared another way: its phases, beams and the policy stream's end
 state must be bitwise equal, while its gammas are compared by their largest
 relative difference, which the tool prints, so a search that scores the same
@@ -37,7 +43,8 @@ law, the two trees' ``lga`` outputs are not compared: instead each block's
 gamma must equal ``system.snr`` of that tree's own phases and beam, within
 1e-10 of the same sum taken over the magnitudes of its terms (the check of
 ``bench/run.py``), else the tool stops with status 1; it prints each tree's
-mean SNR over the timed blocks, in dB of the mean gamma.  The first
+mean SNR over the timed blocks, in dB of the mean gamma; ``lga_eval``
+cannot run with it.  The first
 half of the rounds runs in a child process that imports the base first, the
 second half in one that imports the change first.  After its timed rounds, each
 child runs every path once more per tree, untimed, under ``tracemalloc``
@@ -71,7 +78,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIGS = ("configs/single_ris_desk.yaml", "configs/multi_ris_desk.yaml")
 PAPER_CONFIG = "configs/single_ris.yaml"
-PATHS = ("train", "eval", "decide", "lga")
+PATHS = ("train", "eval", "decide", "lga", "lga_eval")
 TRAIN_HORIZON, GENOMES, DECISION_BLOCKS, GENOME_SCALE = 25, 20, 200, 0.3
 LGA_BLOCKS = 50
 SNR_RTOL = 1e-10
@@ -166,6 +173,16 @@ class Side:
             gammas.append(res.gamma)
         out.append(repr(rng.bit_generator.state).encode())
         return b"".join(out), gammas
+
+    def lga_eval(self, seed: int) -> bytes:
+        """Per-episode gammas and evaluation count of ``harness.evaluate_policy``
+        with ``policy: lga`` on a quarter of the evaluation episodes."""
+        import numpy as np
+        cfg = replace(self.cfg, policy="lga", seed=seed,
+                      eval_episodes=max(1, self.cfg.eval_episodes // 4))
+        per_episode, evaluations = self.tree["harness"].evaluate_policy(cfg)
+        return b"".join([g.tobytes() for g in per_episode]
+                        + [np.int64(evaluations).tobytes()])
 
     def check_lga(self) -> str | None:
         """The first block of the last ``lga`` call whose gamma is not
@@ -322,6 +339,9 @@ def main() -> int:
     paths = [p for p in args.paths.split(",") if p]
     if not paths or not set(paths) <= set(PATHS) or args.rounds < 1:
         parser.error(f"--paths takes a subset of {','.join(PATHS)}; --rounds >= 1")
+    if args.lga_stream_changed and "lga_eval" in paths:
+        parser.error("lga_eval compares gammas bit for bit; it cannot run with "
+                     "--lga-stream-changed (name the other paths with --paths)")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     if args.child:
