@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .numerics import check_fields
+from .numerics import check_fields, even_runs
 from .system import LinkBudget
 
 
@@ -80,29 +80,25 @@ def _split_phases(cs: ChannelSet, flat: np.ndarray):
     return [flat[k * n:(k + 1) * n].copy() for k in range(cs.ris_count)]
 
 
-# Bytes a group may hold, counted per beam by ``_beam_bytes``.  A stack of
-# blocks is searched in runs of blocks; each run makes its blocks' draws, in
-# block order, then evolves its (block, beam) rows in groups under this
-# budget: the fewest near-equal runs of whole blocks, one group each, or,
-# where one block's beams do not fit, each block alone in the fewest
-# near-equal groups of its beams.  A desk block holds 24 kB (48 kB with two
-# surfaces), so a 50-block desk episode runs in two groups of 25 blocks (four
-# of 12-13 with two surfaces); a paper-scale beam (individuals 15, n_bits 400,
-# 5 generations) holds 150 kB, so each paper block runs alone in four groups
-# of four beams.  The draws lie outside the budget, and the bits do not
-# depend on it.  On a 2 vCPU Xeon with one BLAS thread, time over that of one
-# search per block (``tools/ab.py --paths lga_eval``, 30 rounds of 5 desk
-# episodes; an A/A run read 1.00 and 1.01): budgets that fit 1, 2, 5, 10, 25
-# and 50 one-surface desk blocks ran at 1.03, 0.72, 0.57, 0.50, 0.53 and 0.49,
-# and on two-surface blocks (half as many fit; at the smallest budget, two
-# beams per group) at 1.39, 1.01, 0.79, 0.65, 0.61 and 0.58, with traced
-# peaks rising from 0.32 to 2.1 and from 0.53 to 2.2 MB; this budget read 0.48
-# and 0.58 at 1.2 and 1.4 MB.  On paper blocks (``--paper --paths lga
-# --lga-stream-changed``, 30 rounds of 50 blocks, against a search with
-# per-beam draws) one beam per group ran at 1.12, two at 0.93, four at 0.84,
-# eight at 0.82 and all 16 at 0.84.  Eight are within the ~3% an A/A run reads
-# of four, so the budget keeps four paper beams per group, which also puts it
-# on the desk plateau.
+# Bytes one group may hold, counted per beam by ``_beam_bytes``.  A stack of
+# blocks is searched in the fewest near-equal runs of whole blocks that fit
+# this budget, one block at least; each run makes its blocks' draws, in block
+# order, then evolves all of its (block, beam) rows as one group.  A desk
+# block holds 24 kB (48 kB with two surfaces), so a 50-block desk episode runs
+# in two groups of 25 blocks (four of 12-13 with two surfaces); a paper-scale
+# block (16 beams of 150 kB: individuals 15, n_bits 400, 5 generations) does
+# not fit and runs alone, one group of its 16 beams.  The draws lie outside
+# the budget, and the bits do not depend on it.  On a 2 vCPU Xeon with one
+# BLAS thread, time over that of one search per block (``tools/ab.py
+# --paths lga_eval``, 30 rounds of 5 desk episodes; an A/A run read 1.00 and
+# 1.01): budgets that fit 1, 2, 5, 10, 25 and 50 one-surface desk blocks ran
+# at 1.03, 0.72, 0.57, 0.50, 0.53 and 0.49, and on two-surface blocks (half as
+# many fit) at 1.39, 1.01, 0.79, 0.65, 0.61 and 0.58, with traced peaks rising
+# from 0.32 to 2.1 and from 0.53 to 2.2 MB; this budget read 0.48 and 0.58 at
+# 1.2 and 1.4 MB.  On paper blocks (``--paper``, 30 rounds, A/A 0.99-1.01),
+# one group of 16 beams read 0.99 per block (``--paths lga``, 50 blocks) and
+# 0.97 in evaluation (``lga_eval``) against four groups of four, at a traced
+# peak of 3.6 and 5.5 MB (3.4 and 5.2 MB).
 LGA_GROUP_BYTES = 640 << 10
 
 
@@ -111,35 +107,8 @@ def _beam_bytes(n_ind: int, n_off: int, n_gen: int, n_bits: int) -> int:
     ranked copy (float64), the crossover masks and flips (bool), the best
     string of each generation (float64) and the projected cascade's real and
     imaginary parts.  The population and flips are the beam's rows of its
-    block's draws, allocated before its first group, outside the budget."""
+    block's draws, allocated when its run starts, outside the budget."""
     return 8 * n_bits * (2 * n_ind + n_gen + 2) + 2 * n_gen * n_off * n_bits
-
-
-def _runs(n: int, cap: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest near-equal runs of ``n`` items holding at
-    most ``cap`` items each (one at least)."""
-    count = -(-n // max(1, cap))
-    bounds = [n * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _beam_groups(n_v: int, beam_bytes: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest near-equal runs of ``n_v`` beams whose
-    ``beam_bytes`` each fit ``LGA_GROUP_BYTES`` (one beam at least)."""
-    return _runs(n_v, LGA_GROUP_BYTES // beam_bytes)
-
-
-def _groups(n_b: int, n_v: int, beam_bytes: int):
-    """((block start, stop), beam runs) of each run of blocks a stack of
-    ``n_b`` blocks of ``n_v`` beams is searched in, its rows evolving in one
-    group per beam run: the fewest near-equal runs of whole blocks that fit
-    ``LGA_GROUP_BYTES``, each in one group of all its beams, or, where one
-    block does not fit, each block alone in its ``_beam_groups``."""
-    fit = LGA_GROUP_BYTES // (n_v * beam_bytes)
-    if fit:
-        return [(blocks, [(0, n_v)]) for blocks in _runs(n_b, fit)]
-    beam_runs = _beam_groups(n_v, beam_bytes)
-    return [((i, i + 1), beam_runs) for i in range(n_b)]
 
 
 def _projector(blocks) -> np.ndarray:
@@ -215,16 +184,15 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
     3. the flips, ``rng.random((n_v, generations, n_off, n_bits)) < p_mut``
        (breeding follows the last generation too).
 
-    The stack's (block, beam) rows then evolve in groups (see
-    ``LGA_GROUP_BYTES``): runs of whole blocks, which make their draws block
-    by block when the run starts, or the beam runs of one block, which makes
-    its draws at its first run.  A group evolves as one (rows, individuals,
-    n_bits) stack, with per row the same products, sort and breeding as a
-    beam searched alone, so neither the results nor the stream's end state
-    depend on the grouping or on the stacking.  Raises ValueError when the
-    stack is empty or its blocks differ in shape, when the codebook is not
-    (n_tx, beams) with a beam at least, and when a block's best SNR found is
-    not finite (every SNR NaN, or an overflow).
+    The stack is searched in runs of whole blocks (see ``LGA_GROUP_BYTES``);
+    each run makes its blocks' draws, block by block, then evolves its
+    (block, beam) rows as one (rows, individuals, n_bits) stack, with per row
+    the same products, sort and breeding as a beam searched alone, so neither
+    the results nor the stream's end state depend on the runs or on the
+    stacking.  Raises ValueError when the stack is empty or its blocks differ
+    in shape, when the codebook is not (n_tx, beams) with a beam at least,
+    and when a block's best SNR found is not finite (every SNR NaN, or an
+    overflow).
     """
     stacked = isinstance(cs, (list, tuple))
     blocks = cs if stacked else [cs]
@@ -256,64 +224,58 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
     bit = np.arange(n_bits)
 
     n_b, n_v = len(blocks), codebook.shape[1]
-    best_gamma = np.full(n_b, -1.0)
-    best_idx = np.zeros(n_b, dtype=np.int64)
-    best_flat = np.zeros((n_b, n_bits))
+    best_gamma = np.empty(n_b)
+    best_idx = np.empty(n_b, dtype=np.int64)
+    best_flat = np.empty((n_b, n_bits))
 
-    def search(c0, c1, beam_runs):
-        # one run of blocks: its draws, then one group per run of beams; the
-        # run's arrays are freed before the next run draws
+    def search(c0, c1):
+        # one run of blocks: its draws, then its rows as one group; the run's
+        # arrays are freed before the next run draws
         n_c = c1 - c0
+        g = n_c * n_v
         pops, points, flips = _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits,
                                      p_mut, init)
-        proj = _projector(blocks[c0:c1])
-        for o0, o1 in beam_runs:
-            width = o1 - o0
-            g = n_c * width
-            pop = pops[:, o0:o1].reshape(g, n_ind, n_bits)
-            second = bit >= points[:, o0:o1].reshape(g, n_gen, n_off)[..., None]
-            flip = flips[:, o0:o1].reshape(g, n_gen, n_off, n_bits)
-            # each beam's column keeps the strides of codebook[:, v], so its
-            # projection is the one-column product a beam searched alone makes
-            bz = np.matmul(proj[:, None], codebook[:, o0:o1].T[None, :, :, None])
-            bz = bz.reshape(g, n_bits + 1, 1)
-            b0 = bz[:, 0]
-            z_re = np.ascontiguousarray(bz[:, 1:].real)
-            z_im = np.ascontiguousarray(bz[:, 1:].imag)
-            rows = np.arange(g)[:, None] * n_ind
-            ranked = np.empty_like(pop)
-            tops = np.empty((g, n_gen))
-            firsts = np.empty((g, n_gen, n_bits))
-            for gen in range(n_gen):
-                re = b0.real - np.matmul(pop, z_re)[..., 0]
-                im = b0.imag - np.matmul(pop, z_im)[..., 0]
-                gammas = scale * (re * re + im * im)
-                order = rows + np.argsort(-gammas, axis=1, kind="stable")
-                pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
-                pop, ranked = ranked, pop
-                tops[:, gen] = gammas.reshape(-1)[order[:, 0]]
-                firsts[:, gen] = pop[:, 0]
-                # single-point crossover: bits before the point come from the
-                # first parent, the rest from the second; then the flips
-                children = pop[:, n_parents:]
-                pop.take(p1, axis=1, out=children)
-                np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
-                np.negative(children, out=children, where=flip[:, gen])
-            # a one-beam-at-a-time scan keeps the first strictly better top, so
-            # per block the earliest maximum in beam-major order; NaN tops
-            # never win
-            held = best_gamma[c0:c1]
-            tops = tops.reshape(n_c, width * n_gen)
-            seq = np.where(tops > held[:, None], tops, -np.inf)
-            k = np.argmax(seq, axis=1)
-            top = seq[np.arange(n_c), k]
-            won = top > held
-            held[won] = top[won]
-            best_idx[c0:c1][won] = o0 + k[won] // n_gen
-            best_flat[c0:c1][won] = firsts.reshape(n_c, width * n_gen, n_bits)[won, k[won]]
+        pop = pops.reshape(g, n_ind, n_bits)
+        second = bit >= points.reshape(g, n_gen, n_off)[..., None]
+        flip = flips.reshape(g, n_gen, n_off, n_bits)
+        # each beam's column keeps the strides of codebook[:, v], so its
+        # projection is the one-column product a beam searched alone makes
+        bz = np.matmul(_projector(blocks[c0:c1])[:, None], codebook.T[None, :, :, None])
+        bz = bz.reshape(g, n_bits + 1, 1)
+        b0 = bz[:, 0]
+        z_re = np.ascontiguousarray(bz[:, 1:].real)
+        z_im = np.ascontiguousarray(bz[:, 1:].imag)
+        rows = np.arange(g)[:, None] * n_ind
+        ranked = np.empty_like(pop)
+        tops = np.empty((g, n_gen))
+        firsts = np.empty((g, n_gen, n_bits))
+        for gen in range(n_gen):
+            re = b0.real - np.matmul(pop, z_re)[..., 0]
+            im = b0.imag - np.matmul(pop, z_im)[..., 0]
+            gammas = scale * (re * re + im * im)
+            order = rows + np.argsort(-gammas, axis=1, kind="stable")
+            pop.reshape(-1, n_bits).take(order, axis=0, out=ranked)
+            pop, ranked = ranked, pop
+            tops[:, gen] = gammas.reshape(-1)[order[:, 0]]
+            firsts[:, gen] = pop[:, 0]
+            # single-point crossover: bits before the point come from the
+            # first parent, the rest from the second; then the flips
+            children = pop[:, n_parents:]
+            pop.take(p1, axis=1, out=children)
+            np.copyto(children, pop.take(p2, axis=1), where=second[:, gen])
+            np.negative(children, out=children, where=flip[:, gen])
+        # a one-beam-at-a-time scan keeps the first strictly better top, so per
+        # block the earliest maximum in beam-major order; NaN tops never win
+        tops = np.where(np.isnan(tops), -np.inf, tops).reshape(n_c, n_v * n_gen)
+        k = np.argmax(tops, axis=1)
+        at = np.arange(n_c)
+        best_gamma[c0:c1] = tops[at, k]
+        best_idx[c0:c1] = k // n_gen
+        best_flat[c0:c1] = firsts.reshape(n_c, n_v * n_gen, n_bits)[at, k]
 
-    for (c0, c1), beam_runs in _groups(n_b, n_v, _beam_bytes(n_ind, n_off, n_gen, n_bits)):
-        search(c0, c1, beam_runs)
+    fit = LGA_GROUP_BYTES // (n_v * _beam_bytes(n_ind, n_off, n_gen, n_bits))
+    for c0, c1 in even_runs(n_b, fit):
+        search(c0, c1)
     bad = np.flatnonzero(~(np.isfinite(best_gamma) & (best_gamma >= 0.0)))
     if bad.size:
         where = f" on block {bad[0]}" if stacked else ""

@@ -11,9 +11,9 @@ import argparse
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-from .harness import (ConfigError, ConfigLoader, config_from_mapping, config_to_mapping,
-                      evaluate_genome, import_channel_trace, load_config,
-                      run_experiment, sweep)
+from .harness import (EXPORT_FORMATS, ConfigError, ConfigLoader, config_from_mapping,
+                      config_to_mapping, evaluate_genome, import_channel_trace,
+                      load_config, run_experiment, sweep)
 
 
 def _add_common(parser, needs_config=True):
@@ -23,7 +23,7 @@ def _add_common(parser, needs_config=True):
                         help="override the master seed")
     parser.add_argument("--out", default=None, help="override the output directory")
     parser.add_argument("--policy", default=None, help="override the policy kind")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
+    parser.add_argument("--format", choices=EXPORT_FORMATS, default="csv",
                         help="metrics export format")
     parser.add_argument("--workers", type=int, default=None,
                         help="fitness-evaluation worker processes "
@@ -51,12 +51,19 @@ def _print_records(records):
 
 
 def _parse_values(raw: str):
+    """The comma-separated YAML values of ``--values``; an entry that is not
+    one raises ConfigError naming it."""
     import yaml
     values = []
     for chunk in raw.split(","):
         chunk = chunk.strip()
         if chunk:
-            values.append(yaml.load(chunk, Loader=ConfigLoader))
+            try:
+                values.append(yaml.load(chunk, Loader=ConfigLoader))
+            except yaml.YAMLError as exc:
+                why = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+                raise ConfigError(f"sweep --values: {chunk!r} is not a YAML value "
+                                  f"({why})") from None
     return values
 
 

@@ -101,6 +101,7 @@ class MetricRecord:
 
 METRIC_COLUMNS = ("run_id", "policy", "param_name", "param_value",
                   "mean_snr_db", "mean_rate", "std_err", "evaluations")
+EXPORT_FORMATS = ("csv", "json")
 
 
 # -- config (de)serialization ------------------------------------------------
@@ -297,9 +298,11 @@ def run_experiment(cfg: ExperimentConfig, *, param_name=None, param_value=None,
     (or .json) and a run.json sidecar carrying the wall-clock data that is
     deliberately kept out of the metric files.  A trained kind whose
     population cannot fit in the available memory raises ConfigError, and a
-    worker count that ``resolve_workers`` refuses raises ValueError, before
-    anything is written.
+    worker count that ``resolve_workers`` refuses or an export format not in
+    ``EXPORT_FORMATS`` raises ValueError, before anything is trained or
+    written.
     """
+    _require_export_format(export_format)
     workers = resolve_workers(workers)
     if cfg.policy in TRAINED_KINDS:
         _check_population_fits(cfg)
@@ -358,8 +361,10 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, *,
 
     Every point reuses the same master seed so evaluation channels are
     common random numbers across the sweep axis.  Results aggregate into
-    the base out_dir with a plot-data CSV alongside.
+    the base out_dir with a plot-data CSV alongside.  A bad path or export
+    format is refused before the first point runs.
     """
+    _require_export_format(export_format)
     if not isinstance(parameter, str) or not parameter:
         raise ConfigError("sweep parameter: must be a non-empty dotted path")
     _config_field(config_to_mapping(cfg), parameter)
@@ -414,6 +419,12 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _require_export_format(format: str) -> None:
+    if format not in EXPORT_FORMATS:
+        raise ValueError(f"unknown export format {format!r}, expected one of "
+                         f"{', '.join(EXPORT_FORMATS)}")
+
+
 def export_results(records, out_dir, format: str = "csv"):
     """Write metrics in a stable column order with full-precision floats.
 
@@ -422,8 +433,7 @@ def export_results(records, out_dir, format: str = "csv"):
     """
     if not records:
         raise ValueError("no records to export")
-    if format not in ("csv", "json"):
-        raise ValueError(f"unknown export format {format!r}")
+    _require_export_format(format)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     if format == "csv":

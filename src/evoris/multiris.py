@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ScenarioConfig, sample_episodes
-from .numerics import check_fields, relu, softmax_global
+from .numerics import check_fields, even_runs, relu, softmax_global
 from .policy import (ArchConfig, FFConfig, GenomeLayout, _memo_tx_ris_attention,
                      ff_forward_steps, forward, forward_steps, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
@@ -227,15 +227,12 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     episodes = [list(episode) for episode in episodes]
     rows, states = _step_shape(policy_cfg, agg_cfg, scenario, episodes)
     g14, g5 = split_joint_genome(values, policy_cfg, agg_cfg)
-    chunk = max(1, STEP_CHUNK_BYTES // (rows * _step_bytes(policy_cfg)))
+    chunk = STEP_CHUNK_BYTES // (rows * _step_bytes(policy_cfg))
     a_tx_ris = {}
     gammas = []
     for episode in episodes:
         g = np.empty(len(episode))
-        # the fewest passes that fit the budget, near-equal in size
-        passes = -(-len(episode) // chunk)
-        bounds = [len(episode) * i // passes for i in range(passes + 1)] if passes else []
-        for s, e in zip(bounds, bounds[1:]):
+        for s, e in even_runs(len(episode), chunk):
             steps = episode[s:e]
             phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode,
                                          policy_rng, a_tx_ris)

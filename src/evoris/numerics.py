@@ -79,6 +79,14 @@ def check_fields(obj) -> None:
             raise FieldError(f"{name}: {exc}") from None
 
 
+def even_runs(n: int, cap: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest near-equal runs of ``n`` items holding at
+    most ``cap`` items each (one at least); none when ``n`` is 0."""
+    count = -(-n // max(1, cap))
+    bounds = [0] + [n * i // count for i in range(1, count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Return the project's named generator seeded with ``seed``."""
     return np.random.Generator(np.random.PCG64(seed))

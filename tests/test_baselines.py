@@ -190,8 +190,8 @@ def lga_edge_cases():
 
 @pytest.mark.parametrize("group_bytes", [baselines.LGA_GROUP_BYTES, 1, 1000])
 def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
-    # the stacked search against one beam at a time, in one group, one beam
-    # per group, and groups of a few beams
+    # the stacked search against one beam at a time; a lone block is one
+    # group of all its beams under every budget
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
     budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
     for seed, (cs, cb, params, init) in enumerate(lga_edge_cases()):
@@ -236,7 +236,7 @@ def assert_stack_equals_block_calls(blocks, budget, cb, params, init, seed):
 @pytest.mark.parametrize("group_bytes", [1, 20_000, baselines.LGA_GROUP_BYTES, 1 << 30])
 def test_lga_stack_equals_one_block_calls(monkeypatch, group_bytes):
     # stacks of 1-4 blocks shaped as each edge case, the case's own block
-    # first, the others with open and blocked direct paths; searched one beam
+    # first, the others with open and blocked direct paths; searched one block
     # per group, a block or a few per group, in the shipped groups, and all
     # in one group
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
@@ -264,7 +264,7 @@ def test_lga_paper_stack_equals_one_block_calls(monkeypatch, group_bytes):
 @pytest.mark.parametrize("group_bytes", [1, 1 << 30])
 def test_lga_stack_ties_go_to_the_lowest_beam(monkeypatch, group_bytes):
     # on a zero block every string of every beam scores 0: the first beam's
-    # first top wins, whether each beam is its own group or all share one
+    # first top wins, whether each block is its own group or all share one
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
     rng = make_rng(40)
     blocks = [zero_channel_set(4, 3), random_channel_set(rng, 4, 3), zero_channel_set(4, 3)]
@@ -293,29 +293,35 @@ def test_lga_refuses_an_empty_or_mixed_stack(blocks):
         lga_solve(blocks, UNIT, dft_codebook(2), LgaParams(), make_rng(39))
 
 
-def test_lga_beam_groups_fit_the_byte_budget(monkeypatch):
-    def sizes(n_v, beam_bytes):
-        return [b - a for a, b in baselines._beam_groups(n_v, beam_bytes)]
+def test_lga_runs_of_whole_blocks_fit_the_byte_budget(monkeypatch):
+    # each run of blocks makes its draws in one ``_draws`` call
+    runs = []
+    draws = baselines._draws
+    monkeypatch.setattr(baselines, "_draws",
+                        lambda rng, n_c, *rest: runs.append(n_c) or draws(rng, n_c, *rest))
+
+    def run_sizes(blocks, cb, params):
+        runs.clear()
+        lga_solve(blocks, UNIT, cb, params, make_rng(42))
+        return list(runs)
 
     # a paper-scale beam (15 strings of 400 bits, 8 offspring, 5 generations)
-    # holds 150.4 kB: four groups of four
-    paper = baselines._beam_bytes(15, 8, 5, 400)
-    assert paper == 8 * 400 * (2 * 15 + 5 + 2) + 2 * 5 * 8 * 400 == 150_400
-    assert sizes(16, paper) == [4] * 4
-    # every desk block is one group, one and two surfaces
-    assert sizes(4, baselines._beam_bytes(15, 8, 5, 16)) == [4]
-    assert sizes(4, baselines._beam_bytes(15, 8, 5, 32)) == [4]
-    # a beam over the budget still runs, alone
-    assert sizes(3, 2 * baselines.LGA_GROUP_BYTES) == [1, 1, 1]
-    # a 50-block desk episode runs in two groups of 25 blocks, four of 12-13
-    # with two surfaces; each paper block runs alone in its four beam groups
-    desk, desk_multi = (baselines._beam_bytes(15, 8, 5, n) for n in (16, 32))
-    assert baselines._groups(50, 4, desk) == [((0, 25), [(0, 4)]), ((25, 50), [(0, 4)])]
-    assert [b - a for (a, b), _ in baselines._groups(50, 4, desk_multi)] == [12, 13, 12, 13]
-    assert baselines._groups(2, 16, paper) == [
-        ((i, i + 1), [(0, 4), (4, 8), (8, 12), (12, 16)]) for i in range(2)]
-    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", 600_000)
-    assert sizes(16, 96_000) == [5, 5, 6]
+    # holds 150.4 kB, so a block of 16 beams runs alone
+    assert baselines._beam_bytes(15, 8, 5, 400) == \
+        8 * 400 * (2 * 15 + 5 + 2) + 2 * 5 * 8 * 400 == 150_400
+    cfg = load_config(CONFIGS / "single_ris.yaml")
+    (blocks,) = sample_episodes(cfg.scenario, 1, 2, derive_rng(cfg.seed, "eval", "channels"))
+    assert run_sizes(blocks, evaluation_codebook(cfg.scenario, cfg.arch.codebook_size),
+                     cfg.lga) == [1, 1]
+    # a 50-block desk episode runs in two runs of 25 blocks, four of 12-13
+    # with two surfaces
+    rng = make_rng(43)
+    for k, sizes in ((1, [25, 25]), (2, [12, 13, 12, 13])):
+        blocks = [random_channel_set(rng, 4, 16, k=k) for _ in range(50)]
+        assert run_sizes(blocks, dft_codebook(4), LgaParams()) == sizes
+    # a block over the budget still runs, alone
+    monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", 1)
+    assert run_sizes(blocks[:3], dft_codebook(4), LgaParams()) == [1, 1, 1]
 
 
 @pytest.mark.parametrize("n_ris, with_init", [(6, False), (6, True), (1, False)])
@@ -330,26 +336,6 @@ def test_lga_makes_the_documented_draws(n_ris, with_init):
     lga_solve(cs, UNIT, dft_codebook(2), params, res_rng, init=init)
     block_draws(ref_rng, 2, params, n_ris, init)
     assert res_rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-def test_lga_paper_block_does_not_depend_on_the_group_budget(monkeypatch):
-    # one configs/single_ris.yaml block in one group per beam, in the shipped
-    # groups and in one group of all 16 beams
-    cfg = load_config(CONFIGS / "single_ris.yaml")
-    (cs,), = sample_episodes(cfg.scenario, 1, 1, derive_rng(cfg.seed, "eval", "channels"))
-    budget = link_budget_from(cfg.scenario)
-    cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
-    runs = []
-    for group_bytes in (1, baselines.LGA_GROUP_BYTES, 1 << 30):
-        monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
-        rng = derive_rng(cfg.seed, "eval", "policy")
-        runs.append((lga_solve(cs, budget, cb, cfg.lga, rng), rng.bit_generator.state))
-    (first, state), *rest = runs
-    for res, end in rest:
-        assert res.gamma == first.gamma and res.precoder_index == first.precoder_index
-        assert res.evaluations == first.evaluations
-        assert np.array_equal(res.phases, first.phases)
-        assert end == state
 
 
 def searched_gammas(cs, budget, codebook, pop):

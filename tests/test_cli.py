@@ -279,6 +279,22 @@ def test_sweep_value_no_is_not_a_flag(config_path, tmp_path, capsys):
         "error: evo.frozen_episodes: expected true or false, got 'no'"
 
 
+@pytest.mark.parametrize("values,entry", [
+    ("[1,2", "'[1'"), ("[8,8]", "'[8'"), ("10, {a", "'{a'"), ("*x", "'*x'"),
+    ("\x01", "'\\x01'"),
+])
+def test_malformed_sweep_value_is_one_error_line(config_path, tmp_path, capsys, values,
+                                                 entry):
+    # an entry that is not YAML is named before anything runs; "[8,8]" is split
+    # at its comma into "[8" and "8]"
+    out = tmp_path / "run"
+    rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+               "--param", "scenario.n_ris", "--values", values])
+    assert rc == 1
+    assert one_error_line(capsys, out).startswith(
+        f"error: sweep --values: {entry} is not a YAML value (")
+
+
 @pytest.mark.parametrize("field,value", [
     ("arch", 7), ("aggregator", 5), ("ff_hidden", 5), ("ff_hidden", ["x"]),
     ("ff_hidden", [0]), ("ff_hidden", [8.7]),

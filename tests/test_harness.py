@@ -357,6 +357,23 @@ def test_export_rejects_empty_and_bad_format(tmp_path):
         export_results([sample_record()], tmp_path, "parquet")
 
 
+@pytest.mark.parametrize("out", [True, False])
+@pytest.mark.parametrize("entry", ["run_experiment", "sweep"])
+def test_bad_export_format_is_refused_before_anything_runs(tmp_path, monkeypatch,
+                                                           entry, out):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before the format was checked")
+    monkeypatch.setattr(harness, "train", refuse)
+    cfg = tiny_config(policy="attention",
+                      out_dir=str(tmp_path / "run") if out else None)
+    with pytest.raises(ValueError, match="unknown export format 'xml'"):
+        if entry == "run_experiment":
+            run_experiment(cfg, export_format="xml")
+        else:
+            sweep(cfg, "scenario.tx_power_dbm", [10, 20], export_format="xml")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- channel trace files -----------------------------------------------------------
 
 def test_trace_round_trip(tmp_path):

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from evoris.numerics import (FieldError, check_fields, conv2d_same, derive_rng,
-                             derive_seed, layer_norm, make_rng, relu, sign_pm1,
-                             softmax_global)
+                             derive_seed, even_runs, layer_norm, make_rng, relu,
+                             sign_pm1, softmax_global)
 
 
 # -- check_fields: the one rule for config fields ------------------------------
@@ -65,6 +65,26 @@ def test_check_fields_refuses_a_value_naming_the_field(name, value, message):
     with pytest.raises(FieldError) as err:
         Fields(**{name: value})
     assert str(err.value) == f"{name}: {message}"
+
+
+# -- even_runs ----------------------------------------------------------------
+
+def test_even_runs_are_the_fewest_near_equal_runs():
+    assert even_runs(0, 5) == [] and even_runs(0, 0) == []
+    # a cap below one still takes one item per run
+    assert even_runs(3, 0) == even_runs(3, -4) == [(0, 1), (1, 2), (2, 3)]
+    assert even_runs(4, 4) == [(0, 4)] and even_runs(4, 100) == [(0, 4)]
+    assert even_runs(50, 31) == [(0, 25), (25, 50)]
+    assert even_runs(50, 15) == [(0, 12), (12, 25), (25, 37), (37, 50)]
+    for n in range(1, 40):
+        for cap in range(1, 12):
+            runs = even_runs(n, cap)
+            sizes = [b - a for a, b in runs]
+            # contiguous, covering, within the cap, the fewest, near-equal
+            assert [a for a, _ in runs] == [0] + [b for _, b in runs[:-1]]
+            assert sum(sizes) == n and all(1 <= size <= cap for size in sizes)
+            assert len(runs) == -(-n // cap)
+            assert max(sizes) - min(sizes) <= 1
 
 
 # -- rng plumbing -------------------------------------------------------------

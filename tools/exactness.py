@@ -38,10 +38,13 @@ alike.
 Three lines cover the genetic-search baseline (``baselines.lga_solve``): the
 ``metrics.csv`` of ``policy: lga`` on ``configs/single_ris_desk.yaml`` and on
 ``configs/multi_ris_desk.yaml``, and a ``paper-single lga`` line, the SHA-256
-of ``lga_solve`` on the same 8 paper-scale blocks with the config's ``lga``
-settings and its evaluation policy stream: per block its phases
-(little-endian float64), precoder index (int64) and gamma (float64).  They
-print after the lines above, which keep their order.
+of one stacked ``lga_solve`` call, the path ``harness.evaluate_policy``
+takes, on the same 8 paper-scale blocks with the config's ``lga`` settings
+and its evaluation policy stream: per block its phases (little-endian
+float64), precoder index (int64) and gamma (float64).  The tool exits with
+status 1 unless those, and the stream's end state, equal one-block calls on
+the blocks in order.  They print after the lines above, which keep their
+order.
 
 Last come the four lines of the centralized fully-connected policy,
 ``ff_cent`` on ``configs/multi_ris_desk.yaml`` (2 generations, ``l_pop`` 8),
@@ -165,9 +168,19 @@ def paper_digests(harness) -> list[str]:
             f"paper-single precoder_probs {probs.hexdigest()}"]
 
 
-def paper_lga_digest(harness) -> str:
-    """The ``paper-single lga`` line."""
-    import numpy as np
+def lga_digest(results) -> str:
+    """SHA-256 of (phases, precoder index, gamma) per block, as the
+    ``paper-single lga`` line digests them."""
+    digest = hashlib.sha256()
+    for phases, idx, gamma in results:
+        update_decision(digest, [phases], idx)
+        digest.update(struct.pack("<d", gamma))
+    return digest.hexdigest()
+
+
+def paper_lga_digest(harness) -> str | None:
+    """The ``paper-single lga`` line, or None when the stacked search differs
+    from one-block calls."""
     from evoris.channel import sample_episodes
     from evoris.numerics import derive_rng
     from evoris.system import evaluation_codebook, link_budget_from
@@ -177,13 +190,14 @@ def paper_lga_digest(harness) -> str:
                               derive_rng(cfg.seed, "eval", "channels"))
     budget = link_budget_from(cfg.scenario)
     codebook = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
-    rng = derive_rng(cfg.seed, "eval", "policy")
-    digest = hashlib.sha256()
-    for cs in blocks:
-        res = harness.lga_solve(cs, budget, codebook, cfg.lga, rng)
-        update_decision(digest, [res.phases], res.precoder_index)
-        digest.update(struct.pack("<d", res.gamma))
-    return f"paper-single lga {digest.hexdigest()}"
+    rng, one_rng = (derive_rng(cfg.seed, "eval", "policy") for _ in range(2))
+    res = harness.lga_solve(blocks, budget, codebook, cfg.lga, rng)
+    ones = [harness.lga_solve(cs, budget, codebook, cfg.lga, one_rng) for cs in blocks]
+    digest = lga_digest(zip(res.phases, res.precoder_index, res.gamma))
+    if digest != lga_digest((one.phases, one.precoder_index, one.gamma) for one in ones) \
+            or rng.bit_generator.state != one_rng.bit_generator.state:
+        return None
+    return f"paper-single lga {digest}"
 
 
 def run_digests(harness, name, config, policy, evo, workers, tmp: Path) -> list[str]:
@@ -237,7 +251,12 @@ def main() -> int:
         for name, config, policy in BASELINE_RUNS:
             for line in run_digests(harness, name, config, policy, {}, 1, Path(tmp)):
                 print(line, flush=True)
-        print(paper_lga_digest(harness), flush=True)
+        line = paper_lga_digest(harness)
+        if line is None:
+            print("paper-single lga: the stacked search differs from one-block "
+                  "calls", file=sys.stderr)
+            return 1
+        print(line, flush=True)
         for line in run_digests(harness, *FF_CENT_RUN, Path(tmp)):
             print(line, flush=True)
         for line in saved_config_digests(harness, Path(tmp)):
