@@ -30,6 +30,6 @@ from .policy import (ArchConfig, FFConfig, GenomeLayout, PolicyOutput,
                      save_genome, select_index)
 from .system import (LinkBudget, dbm_to_watt, dft_codebook, effective_channel,
                      evaluation_codebook, link_budget_from, phase_to_coefficient,
-                     rate, snr)
+                     snr)
 
 __version__ = "0.1.0"

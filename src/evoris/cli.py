@@ -51,20 +51,16 @@ def _print_records(records):
 
 
 def _parse_values(raw: str):
-    """The comma-separated YAML values of ``--values``; an entry that is not
-    one raises ConfigError naming it."""
+    """The values of ``--values``, read as the items of one YAML flow sequence,
+    so "10,20" gives two numbers and "[0,0,2],[0,0,2.5]" two lists; an
+    argument that is not one raises ConfigError naming it."""
     import yaml
-    values = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if chunk:
-            try:
-                values.append(yaml.load(chunk, Loader=ConfigLoader))
-            except yaml.YAMLError as exc:
-                why = getattr(exc, "problem", None) or str(exc).splitlines()[0]
-                raise ConfigError(f"sweep --values: {chunk!r} is not a YAML value "
-                                  f"({why})") from None
-    return values
+    try:
+        return yaml.load(f"[{raw}]", Loader=ConfigLoader)
+    except yaml.YAMLError as exc:
+        why = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"sweep --values: {raw!r} is not a comma-separated list of "
+                          f"YAML values ({why})") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

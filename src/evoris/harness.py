@@ -7,6 +7,7 @@ no wall-clock data, which keeps repeated runs byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import time
@@ -401,12 +402,8 @@ def _config_field(mapping: dict, parameter: str) -> tuple[dict, str]:
 
 def _write_plot_data(records, out_path: Path, parameter: str) -> None:
     name = f"plot_{parameter.replace('.', '_')}.csv"
-    lines = ["param_value,policy,mean_snr_db,mean_rate,std_err"]
-    for rec in records:
-        lines.append(",".join([_cell(rec.param_value), rec.policy,
-                               _cell(rec.mean_snr_db), _cell(rec.mean_rate),
-                               _cell(rec.std_err)]))
-    (out_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_path / name,
+               ("param_value", "policy", "mean_snr_db", "mean_rate", "std_err"), records)
 
 
 # -- results export ----------------------------------------------------------
@@ -417,6 +414,16 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write_csv(target: Path, columns, records) -> None:
+    """A header of ``columns``, then one line of cells per record, each ending
+    in a line feed; a cell with a comma in it (a list-valued sweep point, in
+    ``param_value`` and ``run_id``) is quoted, so ``csv.reader`` reads it back."""
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(getattr(rec, col)) for col in columns] for rec in records)
 
 
 def _require_export_format(format: str) -> None:
@@ -437,12 +444,8 @@ def export_results(records, out_dir, format: str = "csv"):
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     if format == "csv":
-        lines = [",".join(METRIC_COLUMNS)]
-        for rec in records:
-            row = [_cell(getattr(rec, col)) for col in METRIC_COLUMNS]
-            lines.append(",".join(row))
         target = out_path / "metrics.csv"
-        target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(target, METRIC_COLUMNS, records)
     else:
         payload = [{col: getattr(rec, col) for col in METRIC_COLUMNS}
                    for rec in records]

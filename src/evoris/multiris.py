@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import ScenarioConfig, sample_episodes
 from .numerics import check_fields, even_runs, relu, softmax_global
-from .policy import (ArchConfig, FFConfig, GenomeLayout, _memo_tx_ris_attention,
-                     ff_forward_steps, forward, forward_steps, select_index)
+from .policy import (ArchConfig, FFConfig, GenomeLayout, ff_forward_steps, forward,
+                     forward_steps, select_index)
 from .system import evaluation_codebook, link_budget_from, snr
 
 
@@ -72,7 +72,7 @@ def encode_votes(votes, cfg: AggregatorConfig) -> np.ndarray:
     votes = np.asarray(votes, dtype=np.int64)
     if votes.shape[-1:] != (cfg.ris_count,) or votes.ndim > 2:
         raise ValueError(f"expected {cfg.ris_count} votes, got shape {votes.shape}")
-    if np.any(votes < 0) or np.any(votes >= cfg.codebook_size):
+    if (votes < 0).any() or (votes >= cfg.codebook_size).any():
         raise ValueError(f"votes must lie in [0, {cfg.codebook_size})")
     x = np.zeros(votes.shape[:-1] + (cfg.ris_count * cfg.codebook_size,))
     np.put_along_axis(x, np.arange(cfg.ris_count) * cfg.codebook_size + votes, 1.0,
@@ -147,31 +147,20 @@ def _step_bytes(cfg) -> int:
                 cfg.n_ris * cfg.d_cat * max(cfg.conv_channels) * cfg.conv_kernel ** 2)
 
 
-def _chunk_actions(g14, g5, arch, agg_cfg: AggregatorConfig | None, steps,
-                   mode, rng, a_tx_ris: dict):
-    """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass.
-
-    ``a_tx_ris`` maps the ``id`` of each H1 array met so far in the block to
-    its TX-RIS attention row; an attention pass adds its new ones in one memo call."""
+def _chunk_actions(g14, g5, arch, agg_cfg: AggregatorConfig | None, steps, mode, rng):
+    """Phases (n, K, n_ris) and precoder picks (n,) for n steps in one pass."""
     if isinstance(arch, FFConfig):
         return ff_forward_steps(g14, arch, steps, rng, mode)[:2]
     # row i * K + k holds surface k of step i
     h = np.stack([cs.h for cs in steps])
+    h1 = [h1 for cs in steps for h1 in cs.h1_list]
     h2 = np.stack([h2 for cs in steps for h2 in cs.h2_list])
-    h1s = [h1 for cs in steps for h1 in cs.h1_list]
-    new = list({id(h1): h1 for h1 in h1s if id(h1) not in a_tx_ris}.values())
-    if new:
-        h1 = np.asarray(np.stack(new), dtype=np.complex128)
-        if h1.shape[1:] != (arch.n_tx, arch.n_ris):
-            raise ValueError("channel shapes do not match the architecture")
-        a_tx_ris.update(zip(map(id, new), _memo_tx_ris_attention(g14, arch, h1)))
-    a1 = np.stack([a_tx_ris[id(h1)] for h1 in h1s])
     if agg_cfg is None:
-        phases, idx, _ = forward_steps(g14, arch, h, None, h2, rng, mode, a_tx_ris=a1)
+        phases, idx, _ = forward_steps(g14, arch, h, h1, h2, rng, mode)
         return phases[:, None], idx
     k = agg_cfg.ris_count
-    phases, votes, _ = forward_steps(g14, arch, np.repeat(h, k, axis=0), None, h2,
-                                     mode="argmax", a_tx_ris=a1)
+    phases, votes, _ = forward_steps(g14, arch, np.repeat(h, k, axis=0), h1, h2,
+                                     mode="argmax")
     idx, _ = aggregate_precoder(g5, agg_cfg, votes.reshape(-1, k), rng, mode)
     return phases.reshape(len(steps), k, -1), idx
 
@@ -215,9 +204,9 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     ``STEP_CHUNK_BYTES``, each scored by one stacked ``snr`` call; phases,
     picks and gammas are bit-identical to one-block calls (``ff_forward``,
     ``forward``, or ``agent_act`` plus ``aggregate_precoder``, then ``snr``)
-    step by step.  Each H1 array's TX-RIS attention comes from the memo
-    ``forward`` uses, in the first pass that meets it: a line-of-sight H1
-    (shared, or equal copies in an imported trace) is attended once per
+    step by step.  Each pass looks up the TX-RIS attention of every distinct
+    H1 array it holds in the one memo ``forward`` uses too: a line-of-sight
+    H1 (shared, or equal copies in an imported trace) is attended once per
     surface and genome, a Ricean H1 once per step.  Sampling draws one
     uniform per step from ``policy_rng``, one call per pass in step order,
     which leaves the stream where per-step draws would; argmax draws nothing.
@@ -228,14 +217,12 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     rows, states = _step_shape(policy_cfg, agg_cfg, scenario, episodes)
     g14, g5 = split_joint_genome(values, policy_cfg, agg_cfg)
     chunk = STEP_CHUNK_BYTES // (rows * _step_bytes(policy_cfg))
-    a_tx_ris = {}
     gammas = []
     for episode in episodes:
         g = np.empty(len(episode))
         for s, e in even_runs(len(episode), chunk):
             steps = episode[s:e]
-            phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode,
-                                         policy_rng, a_tx_ris)
+            phases, idx = _chunk_actions(g14, g5, policy_cfg, agg_cfg, steps, mode, policy_rng)
             g[s:e] = snr(steps, phases, [codebook[:, i] for i in idx], budget, states)
         gammas.append(g)
     return gammas

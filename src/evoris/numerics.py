@@ -119,7 +119,7 @@ def softmax_global(m: np.ndarray, steps: bool = False) -> np.ndarray:
     bit for bit as if that step were passed alone.
     """
     m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("softmax_global requires finite input")
     flat = m.reshape(m.shape[:1] + (-1,) if steps else (-1,))
     e = np.exp(flat - flat.max(axis=-1, keepdims=True))
@@ -133,7 +133,7 @@ def layer_norm(m: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
     scale or shift.  A 1-D input is treated as a single row.
     """
     m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("layer_norm requires finite input")
     mean = m.mean(axis=-1, keepdims=True)
     var = m.var(axis=-1, keepdims=True)

@@ -313,19 +313,18 @@ def tx_ris_attention(w: np.ndarray, arch: ArchConfig, h1: np.ndarray) -> np.ndar
 
 
 def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.ndarray,
-                  rng=None, mode: str = "sample", a_tx_ris=None):
+                  rng=None, mode: str = "sample"):
     """Policy pass over B stacked steps at once.
 
-    Channels come complex with a leading step axis: h (B, n_tx), h1
-    (B, n_tx, n_ris), h2 (B, n_ris).  Returns (phases (B, n_ris), precoder
+    Channels come complex with a leading step axis: h (B, n_tx), h2 (B, n_ris),
+    and H1 as B (n_tx, n_ris) matrices: a (B, n_tx, n_ris) stack, or a sequence
+    in which steps may share one array.  Returns (phases (B, n_ris), precoder
     indices (B,), probs (B, V)); each step's result is bit-identical to
     ``forward`` on that step alone.  Sampling draws one uniform per step
     from ``rng``, in step order.
 
-    The TX-RIS attention comes from ``_memo_tx_ris_attention``, unless
-    ``a_tx_ris`` gives it (B, n_ris, 2 n_tx); then ``h1`` may be None.  Either
-    way each step has the bits of a fresh ``tx_ris_attention`` of its H1,
-    since ``attention_steps`` gives each step the bits of a lone call.
+    The TX-RIS attention always comes from ``_memo_tx_ris_attention``, which
+    gives each step the bits of a fresh ``tx_ris_attention`` of its H1.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     layout = genome_layout(arch)
@@ -334,17 +333,9 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
     h = np.asarray(h, dtype=np.complex128)
     h2 = np.asarray(h2, dtype=np.complex128)
     b = h.shape[0] if h.ndim else 0
-    if b < 1 or h.shape != (b, arch.n_tx) or h2.shape != (b, arch.n_ris):
+    if b < 1 or h.shape != (b, arch.n_tx) or h2.shape != (b, arch.n_ris) or len(h1) != b:
         raise ValueError("channel shapes do not match the architecture")
-    if a_tx_ris is None:
-        h1 = np.asarray(h1, dtype=np.complex128)
-        if h1.shape != (b, arch.n_tx, arch.n_ris):
-            raise ValueError("channel shapes do not match the architecture")
-        a1 = _memo_tx_ris_attention(w, arch, h1)
-    else:
-        a1 = np.asarray(a_tx_ris, dtype=np.float64)
-        if a1.shape != (b, arch.n_ris, 2 * arch.n_tx):
-            raise ValueError("TX-RIS attention shape does not match the architecture")
+    a1 = _memo_tx_ris_attention(w, arch, list(h1))  # every array alive: no id repeats
 
     tokens_ris_rx = np.stack([h2.real, h2.imag], axis=-1)
     a2 = attention_steps(tokens_ris_rx,
@@ -364,54 +355,61 @@ def forward_steps(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1, h2: np.nda
     return phase_head(feat, w, arch), idx, probs
 
 
-# The TX-RIS attention rows computed so far, as ((weights bytes, H1 bytes,
-# arch), row) pairs, most recent first.  A line-of-sight H1 is one array shared
-# by every block of a scenario, so one entry per surface and genome serves every
-# later pass.  The bound is the largest shipped ``ris_count`` (multi_ris_k4.yaml);
-# a paper-scale entry holds ~230 kB, plus the rest of the read-only output its
-# row is a view of (at most a rollout pass).  Changed in place, never rebound.
+# The one TX-RIS cache: the attention rows computed so far, as [(weights bytes,
+# H1 bytes, arch), row] entries, most recent first.  A line-of-sight H1 is one
+# array shared by every block of a scenario, so one entry per surface and genome
+# serves every later pass.  The bound is the largest shipped ``ris_count``
+# (multi_ris_k4.yaml); a paper-scale entry holds ~230 kB, plus the rest of the
+# read-only output its row is a view of (at most a rollout pass).  Changed in
+# place, never rebound.
 _TX_RIS_MEMO_ENTRIES = 4
 _tx_ris_memo: list = []
 
 
-def _memo_tx_ris_attention(w, arch: ArchConfig, h1: np.ndarray) -> np.ndarray:
-    """``tx_ris_attention`` (B, n_ris, 2 n_tx) of a float64 genome and a complex128
-    H1 stack (B, n_tx, n_ris) that fit ``arch``, served from the memo.
+def _memo_tx_ris_attention(w, arch: ArchConfig, h1s: list) -> np.ndarray:
+    """``tx_ris_attention`` (B, n_ris, 2 n_tx) of a float64 genome that fits
+    ``arch`` and a list of B H1 matrices, served from the memo; a matrix of
+    another shape raises before anything enters the memo.
 
-    The key holds the bits of the TX-RIS weights and of one H1, so an entry
-    answers only the inputs it was computed from, even if the caller's arrays
-    change in place later, and a hit returns the bits a fresh call would give.
-    A hit moves to the front; the distinct misses, computed in one call whose
-    steps each have the bits of a lone call, enter there, the last one first.
+    Each distinct array of the call is keyed once: first by ``id`` within the
+    call, then by the bits of the TX-RIS weights and of its complex128 values,
+    so an entry answers only the inputs it was computed from, even if the
+    caller's arrays change in place later, and a hit returns the bits a fresh
+    call would give.  A hit moves to the front.  The misses, equal bits taken
+    once, are computed in one call whose steps each have the bits of a lone
+    call, and enter at the front, the last one first.
     """
     start = genome_layout(arch).segments["attn_tx_ris.wq"][0]  # wk and wv follow wq
     weights = w[start:start + 3 * (2 * arch.n_tx) ** 2].tobytes()
-    blob = h1.tobytes()
-    size = len(blob) // len(h1)
-    keys = [(weights, blob[i:i + size], arch) for i in range(0, len(blob), size)]
-    rows = []
-    for key in keys:
+    entries, new = {}, []  # the memo entry of each distinct array by id; the misses
+    for a in h1s:
+        if id(a) in entries:
+            continue
+        h1 = np.asarray(a, dtype=np.complex128)
+        if h1.shape != (arch.n_tx, arch.n_ris):
+            raise ValueError("channel shapes do not match the architecture")
+        key = (weights, h1.tobytes(), arch)
         for i, entry in enumerate(_tx_ris_memo):
             if entry[0] == key:
                 if i:
                     _tx_ris_memo.insert(0, _tx_ris_memo.pop(i))
-                rows.append(entry[1])
                 break
         else:
-            rows.append(None)
-    missed = [i for i, key in enumerate(keys) if rows[i] is None and keys.index(key) == i]
-    if missed:
-        every = len(missed) == len(keys)  # every row new and distinct, as Ricean H1s are
-        out = tx_ris_attention(w, arch, h1 if every else h1[missed])
+            entry = next((e for e in new if e[0] == key), None)
+            if entry is None:
+                entry = [key, h1]  # holds the H1 until its row is computed
+                new.append(entry)
+        entries[id(a)] = entry
+    if new:
+        out = tx_ris_attention(w, arch, np.array([h1 for _, h1 in new]))
         out.flags.writeable = False
-        for i, row in zip(missed, out):
-            rows[i] = row
-            _tx_ris_memo.insert(0, (keys[i], row))
+        for entry, row in zip(new, out):
+            entry[1] = row
+        _tx_ris_memo[:0] = new[::-1]
         del _tx_ris_memo[_TX_RIS_MEMO_ENTRIES:]
-        if every:
-            return out
-        rows = [rows[keys.index(key)] for key in keys]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+    rows = [entries[id(a)][1] for a in h1s]
+    # np.array stacks equal-shaped rows in a third of np.stack's time (25 desk rows)
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
 def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
@@ -423,9 +421,8 @@ def forward(w: np.ndarray, arch: ArchConfig, h: np.ndarray, h1: np.ndarray,
     pick: "sample" draws from the softmax, "argmax" is deterministic.  This
     is the one-step case of ``forward_steps``, memo included.
     """
-    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None],
-                                       np.asarray(h1)[None], np.asarray(h2)[None],
-                                       rng, mode)
+    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None], [h1],
+                                       np.asarray(h2)[None], rng, mode)
     return PolicyOutput(phases=phases[0], precoder_index=int(idx[0]),
                         precoder_probs=probs[0])
 

@@ -1,4 +1,4 @@
-"""Link-level quantities: codebook precoding, RIS phase action, SNR and rate.
+"""Link-level quantities: codebook precoding, RIS phase action and SNR.
 
 The receiver sees the direct channel plus, per RIS, the cascade of the
 TX-RIS matrix, the diagonal reflection coefficients and the RIS-RX vector.
@@ -156,10 +156,3 @@ def snr(cs, phases, v, budget: LinkBudget, states: int = 2):
             raise ValueError("precoder length must match n_tx")
         gammas.append(scale * abs(np.dot(m_b, v_b)) ** 2)
     return np.array(gammas) if stacked else gammas[0]
-
-
-def rate(gamma: float) -> float:
-    """Spectral efficiency log2(1 + gamma) in bit/s/Hz."""
-    if gamma < 0:
-        raise ValueError("SNR must be nonnegative")
-    return math.log2(1.0 + gamma)

@@ -280,19 +280,51 @@ def test_sweep_value_no_is_not_a_flag(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("values,entry", [
-    ("[1,2", "'[1'"), ("[8,8]", "'[8'"), ("10, {a", "'{a'"), ("*x", "'*x'"),
-    ("\x01", "'\\x01'"),
+    ("[1,2", "'[1,2'"), ("10, {a", "'10, {a'"), ("*x", "'*x'"), ("\x01", "'\\x01'"),
 ])
 def test_malformed_sweep_value_is_one_error_line(config_path, tmp_path, capsys, values,
                                                  entry):
-    # an entry that is not YAML is named before anything runs; "[8,8]" is split
-    # at its comma into "[8" and "8]"
+    # an argument that is not one YAML flow sequence is named before anything runs
     out = tmp_path / "run"
     rc = main(["sweep", "--config", str(config_path), "--out", str(out),
                "--param", "scenario.n_ris", "--values", values])
     assert rc == 1
     assert one_error_line(capsys, out).startswith(
-        f"error: sweep --values: {entry} is not a YAML value (")
+        f"error: sweep --values: {entry} is not a comma-separated list of YAML values (")
+
+
+def test_list_sweep_value_for_an_integer_field_is_one_error_line(config_path, tmp_path,
+                                                                 capsys):
+    # "[8,8]" is one list value, which the field refuses before anything runs
+    out = tmp_path / "run"
+    rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+               "--param", "scenario.n_ris", "--values", "[8,8]"])
+    assert rc == 1
+    assert one_error_line(capsys, out) == \
+        "error: scenario.n_ris: expected an integer, got [8, 8]"
+
+
+def test_sweep_of_a_list_valued_field(config_path, tmp_path, capsys):
+    # each position keeps its commas, and the CSV cells that hold one read back
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+               "--param", "scenario.tx_position", "--values", "[0,0,2],[0,0,2.5]"])
+    assert rc == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    points = ["[0, 0, 2]", "[0, 0, 2.5]"]
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["param_value"] for row in rows] == points
+    assert [row["run_id"] for row in rows] == [
+        f"random-seed7-scenario.tx_position={p}" for p in points]
+    assert all(None not in row and math.isfinite(float(row["mean_snr_db"]))
+               for row in rows)
+    with open(out / "plot_scenario_tx_position.csv", newline="", encoding="utf-8") as fh:
+        header, *plot = csv.reader(fh)
+    assert header == ["param_value", "policy", "mean_snr_db", "mean_rate", "std_err"]
+    assert [row[:2] for row in plot] == [[p, "random"] for p in points]
+    assert [row[2] for row in plot] == [row["mean_snr_db"] for row in rows]
+    assert all(len(row) == len(header) for row in plot)
 
 
 @pytest.mark.parametrize("field,value", [

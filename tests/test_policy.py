@@ -581,11 +581,15 @@ def config_policy(name, kappa_h1_db=None):
 
 
 def reference_forward(w, arch, h, h1, h2, rng, mode):
-    """``forward_steps`` on one step with a fresh TX-RIS attention, never the memo's."""
-    h1 = np.array(h1)[None]
-    phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None], h1,
-                                       np.asarray(h2)[None], rng, mode,
-                                       a_tx_ris=policy_module.tx_ris_attention(w, arch, h1))
+    """``forward_steps`` on one step with a fresh TX-RIS attention, never the
+    memo's: it runs on an emptied memo, which is then put back as it was."""
+    saved = policy_module._tx_ris_memo[:]
+    policy_module._tx_ris_memo.clear()
+    try:
+        phases, idx, probs = forward_steps(w, arch, np.asarray(h)[None], [np.array(h1)],
+                                           np.asarray(h2)[None], rng, mode)
+    finally:
+        policy_module._tx_ris_memo[:] = saved
     return phases[0], int(idx[0]), probs[0]
 
 
@@ -682,20 +686,68 @@ def test_forward_memo_computes_line_of_sight_attention_once_per_surface(
     ("short genome", "genome has"),
     ("H1 one element short", "channel shapes do not match"),
     ("NaN weight and short h", "channel shapes do not match"),
+    ("two steps, one H1", "channel shapes do not match"),
+    ("two steps, the second H1 transposed", "channel shapes do not match"),
 ])
 def test_forward_memo_leaves_malformed_inputs_to_forward_steps(empty_memo, fault, message):
     w = make_rng(60).standard_normal(TOY.genome_size) * 0.3
     h, h1, h2 = toy_channels(61)
+    h1s = None  # the faults of a two-step call go to forward_steps directly
     if fault == "short genome":
         w = w[:-1]
     elif fault == "H1 one element short":
         h1 = h1[:, :-1]
-    else:
+    elif fault == "NaN weight and short h":
         genome_layout(TOY).view(w, "attn_tx_ris.wq")[0, 0] = np.nan
         h = h[:-1]
+    elif fault == "two steps, one H1":
+        h1s = [h1]
+    else:
+        h1s = [h1, h1.T.copy()]
     with pytest.raises(ValueError, match=message):
-        forward(w, TOY, h, h1, h2, mode="argmax")
+        if h1s is None:
+            forward(w, TOY, h, h1, h2, mode="argmax")
+        else:
+            forward_steps(w, TOY, np.stack([h, h]), h1s, np.stack([h2, h2]), mode="argmax")
     assert policy_module._tx_ris_memo == []
+
+
+@pytest.mark.parametrize("mode", ["sample", "argmax"])
+def test_forward_steps_shared_h1_matches_a_stack_of_copies(monkeypatch, mode):
+    arch, scenario, w = config_policy("single_ris_desk")
+    steps = [cs for episode in sample_episodes(scenario, 2, 3, make_rng(62))
+             for cs in episode]
+    shared = [cs.h1_list[0] for cs in steps]
+    assert all(h1 is shared[0] for h1 in shared)  # one line-of-sight array
+    h = np.stack([cs.h for cs in steps])
+    h2 = np.stack([cs.h2_list[0] for cs in steps])
+    outs = []
+    for h1 in (shared, np.stack([h1.copy() for h1 in shared])):
+        monkeypatch.setattr(policy_module, "_tx_ris_memo", [])
+        rng = make_rng(63)
+        outs.append((*forward_steps(w, arch, h, h1, h2, rng=rng, mode=mode),
+                     rng.bit_generator.state))
+    (phases, idx, probs, state), (ref_phases, ref_idx, ref_probs, ref_state) = outs
+    assert phases.dtype == ref_phases.dtype and np.array_equal(phases, ref_phases)
+    assert idx.dtype == ref_idx.dtype and np.array_equal(idx, ref_idx)
+    assert np.array_equal(probs, ref_probs)
+    assert state == ref_state
+
+
+def test_forward_steps_attends_each_distinct_h1_once(empty_memo, monkeypatch):
+    w = make_rng(64).standard_normal(TOY.genome_size) * 0.3
+    a, b = toy_channels(65)[1], toy_channels(66)[1]
+    h1s = [a, a, b, a]
+    steps = [toy_channels(67 + i) for i in range(len(h1s))]
+    h = np.stack([s[0] for s in steps])
+    h2 = np.stack([s[2] for s in steps])
+    calls = counting_tx_ris_attention(monkeypatch)
+    phases, idx, probs = forward_steps(w, TOY, h, h1s, h2, mode="argmax")
+    assert calls == [2]
+    assert len(policy_module._tx_ris_memo) == 2
+    for i, h1 in enumerate(h1s):
+        ref = reference_forward(w, TOY, h[i], h1, h2[i], None, "argmax")
+        assert_same_output(PolicyOutput(phases[i], int(idx[i]), probs[i]), ref)
 
 
 def test_forward_memo_keeps_its_bound_most_recent_first(empty_memo, monkeypatch):

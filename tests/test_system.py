@@ -1,4 +1,4 @@
-"""Tests for SNR/rate evaluation and the discrete action spaces.
+"""Tests for SNR evaluation and the discrete action spaces.
 
 The derived cases evaluate the effective channel and SNR with independent
 naive summation code written here, then compare.
@@ -17,7 +17,7 @@ from evoris.harness import load_config
 from evoris.numerics import make_rng
 from evoris.system import (LinkBudget, dbm_to_watt, dft_codebook,
                            effective_channel, evaluation_codebook,
-                           link_budget_from, phase_to_coefficient, rate, snr)
+                           link_budget_from, phase_to_coefficient, snr)
 
 UNIT = LinkBudget(tx_power_w=1.0, noise_power_w=1.0)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -138,7 +138,7 @@ def test_effective_channel_rejects_wrong_lengths():
         effective_channel(cs, [np.ones(3) * -1.0, np.ones(3) * -1.0])
 
 
-# -- snr / rate ---------------------------------------------------------------
+# -- snr ---------------------------------------------------------------------
 
 def test_snr_zero_channels():
     cs = ChannelSet(h=np.zeros(2, dtype=np.complex128),
@@ -202,14 +202,6 @@ def test_snr_joint_rotation_invariance_with_direct():
     cs_rot = ChannelSet(h=cs.h * rot, h1_list=[m.copy() for m in cs.h1_list],
                         h2_list=[h2 * rot for h2 in cs.h2_list])
     assert abs(snr(cs_rot, phases, v, UNIT) - g0) < 1e-9 * max(g0, 1e-30)
-
-
-def test_rate_values():
-    assert rate(0.0) == 0.0
-    assert rate(1.0) == 1.0
-    assert rate(3.0) == 2.0
-    with pytest.raises(ValueError):
-        rate(-0.1)
 
 
 # -- link budget --------------------------------------------------------------

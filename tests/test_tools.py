@@ -38,3 +38,13 @@ def test_ab_refuses_lga_eval_with_a_changed_stream():
     done = run_ab("--paths", "lga_eval", "--lga-stream-changed")
     assert done.returncode == 2
     assert "lga_eval compares gammas bit for bit" in done.stderr
+
+
+def test_ab_runs_the_policy_paths():
+    paths = ("train", "eval", "decide")
+    done = run_ab("--paths", ",".join(paths))
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [[c, f"{p}:"] for c in DESK_CONFIGS
+                                                    for p in paths]
+    assert all(line.endswith("bits equal in every round") for line in lines)
