@@ -1,9 +1,10 @@
 """Non-neural reference policies for per-block phase/precoder selection.
 
 A small per-precoder genetic search over binary phase strings, which takes
-one ChannelSet or a stack of them, an exhaustive enumerator for instances
-small enough to brute-force, and a uniform random control arm; the last two
-act on one ChannelSet at a time.
+one ChannelSet or a stack of them and scores strings on ``project``'s
+per-beam projection; an exhaustive enumerator for instances small enough to
+brute-force; and a uniform random control arm.  The last two act on one
+ChannelSet at a time.
 """
 
 from __future__ import annotations
@@ -111,13 +112,14 @@ def _beam_bytes(n_ind: int, n_off: int, n_gen: int, n_bits: int) -> int:
     return 8 * n_bits * (2 * n_ind + n_gen + 2) + 2 * n_gen * n_off * n_bits
 
 
-def _projector(blocks) -> np.ndarray:
-    """(B, 1 + n_bits, n_tx) per block: row 0 projects a beam onto the direct
-    path (b0), the rest onto the cascade (z).  Each block's matrix is
-    ``_cascade_matrix``'s transpose below conj(h), with the same elementwise
-    products and the layout a ``vstack`` of the two has, which the
-    projection's products depend on: column-major, or row-major when a
-    single row or column makes both parts row-major too."""
+def project(blocks, codebook: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b0 (B, V), z (B, V, n_bits)) of a stack of B equally shaped blocks:
+    per beam v, the direct term ``b0 = conj(h) @ v`` and the projected
+    cascade ``z = B^T v`` with B as in ``_cascade_matrix``.  Each block's
+    C-ordered (n_tx, 1 + n_bits) matrix ``[conj(h) | conj(H1_k) * conj(h2_k)
+    ...]`` makes one product with a C-ordered copy of ``codebook.T``, so a
+    block's bits depend neither on its neighbours in the stack nor on how
+    the inputs are laid out in memory."""
     h1 = np.array([b.h1_list for b in blocks])
     n_b, k, n_tx, n = h1.shape
     proj = np.empty((n_b, n_tx, 1 + k * n), dtype=np.complex128)
@@ -125,39 +127,35 @@ def _projector(blocks) -> np.ndarray:
     np.multiply(np.conj(h1).transpose(0, 2, 1, 3),
                 np.conj([b.h2_list for b in blocks])[:, None],
                 out=proj[:, :, 1:].reshape(n_b, n_tx, k, n))
-    proj = proj.transpose(0, 2, 1)
-    return np.ascontiguousarray(proj) if k * n == 1 or n_tx == 1 else proj
+    bz = np.matmul(np.array(codebook.T, dtype=np.complex128, order="C"), proj)
+    return bz[:, :, 0], bz[:, :, 1:]
 
 
-def _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits, p_mut, init):
+def _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits, p_mut):
     """The draws of ``n_c`` consecutive blocks as (n_c, n_v, ...) arrays of
     initial populations, crossover points and flips; each block makes its
     calls in ``lga_solve``'s order before the next block's."""
-    pops = np.empty((n_c, n_v, n_ind, n_bits)) if init is None \
-        else np.tile(init, (n_c, n_v, 1, 1))
+    pops = np.empty((n_c, n_v, n_ind, n_bits))
     points = np.zeros((n_c, n_v, n_gen, n_off), dtype=np.int64)
     flips = np.empty((n_c, n_v, n_gen, n_off, n_bits), dtype=bool)
     for i in range(n_c):
-        if init is None:
-            np.multiply(rng.integers(0, 2, size=pops.shape[1:]), 2.0, out=pops[i])
+        np.multiply(rng.integers(0, 2, size=pops.shape[1:]), 2.0, out=pops[i])
         if n_bits > 1:
             points[i] = rng.integers(1, n_bits, size=points.shape[1:])
         np.less(rng.random(flips.shape[1:]), p_mut, out=flips[i])
-    if init is None:
-        pops -= 1.0
+    pops -= 1.0
     return pops, points, flips
 
 
 def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
-              codebook: np.ndarray, params: LgaParams, rng: np.random.Generator,
-              init: np.ndarray | None = None) -> LgaResult:
+              codebook: np.ndarray, params: LgaParams,
+              rng: np.random.Generator) -> LgaResult:
     """Best (phases, precoder) found by an independent genetic search per beam.
 
     For every codebook column a small population of {-1,+1} strings evolves
     for the configured generations; the best pair ever evaluated wins, with
     ties broken toward the lowest precoder index and then the earliest
-    generation.  ``init`` optionally seeds each per-beam search with a fixed
-    starting population.
+    generation.
 
     ``cs`` is one ChannelSet, or a list of B blocks with equal antenna,
     surface and element counts.  A stack gives an ``LgaResult`` whose
@@ -169,16 +167,16 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
     With the beam v fixed, a string of phases p reflects with coefficients
     -p, and its SNR is ``scale * |b0 - p @ z|^2`` with ``b0 = conj(h) @ v``
     and the projected cascade ``z = B^T v`` (n_bits values; Zhang et al.,
-    IEEE JSTSP 2022), so each beam's fitness takes two real products of its
-    population with z's real and imaginary parts.
+    IEEE JSTSP 2022), both taken from ``project``, so each beam's fitness
+    takes two real products of its population with z's real and imaginary
+    parts.
 
     No draw depends on a fitness, so each block makes all of its draws
     first, in at most three calls, with n_v beams and n_off = individuals -
     n_parents offspring:
 
     1. the initial populations, ``rng.integers(0, 2, size=(n_v, individuals,
-       n_bits)) * 2.0 - 1.0``, skipped when ``init`` is given (every beam
-       then starts from ``init``);
+       n_bits)) * 2.0 - 1.0``;
     2. the crossover points, ``rng.integers(1, n_bits, size=(n_v,
        generations, n_off))``, skipped when n_bits is 1 (every point 0);
     3. the flips, ``rng.random((n_v, generations, n_off, n_bits)) < p_mut``
@@ -210,12 +208,6 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
         else max(1, params.individuals // 2)
     n_ind, n_gen = params.individuals, params.generations
     n_off = n_ind - n_parents
-    if init is not None:
-        init = np.asarray(init, dtype=np.float64)
-        if init.shape != (n_ind, n_bits):
-            raise ValueError("init population must be (individuals, n_bits)")
-        if not np.all(np.isin(init, (-1.0, 1.0))):
-            raise ValueError("init population entries must be -1 or +1")
 
     scale = budget.tx_power_w / budget.noise_power_w
     # child j crosses the rank-ordered parents j and j + 1 (cyclically)
@@ -233,18 +225,14 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
         # arrays are freed before the next run draws
         n_c = c1 - c0
         g = n_c * n_v
-        pops, points, flips = _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits,
-                                     p_mut, init)
+        pops, points, flips = _draws(rng, n_c, n_v, n_ind, n_gen, n_off, n_bits, p_mut)
         pop = pops.reshape(g, n_ind, n_bits)
         second = bit >= points.reshape(g, n_gen, n_off)[..., None]
         flip = flips.reshape(g, n_gen, n_off, n_bits)
-        # each beam's column keeps the strides of codebook[:, v], so its
-        # projection is the one-column product a beam searched alone makes
-        bz = np.matmul(_projector(blocks[c0:c1])[:, None], codebook.T[None, :, :, None])
-        bz = bz.reshape(g, n_bits + 1, 1)
-        b0 = bz[:, 0]
-        z_re = np.ascontiguousarray(bz[:, 1:].real)
-        z_im = np.ascontiguousarray(bz[:, 1:].imag)
+        b0, z = project(blocks[c0:c1], codebook)
+        b0 = b0.reshape(g, 1)
+        z_re = np.ascontiguousarray(z.real).reshape(g, n_bits, 1)
+        z_im = np.ascontiguousarray(z.imag).reshape(g, n_bits, 1)
         rows = np.arange(g)[:, None] * n_ind
         ranked = np.empty_like(pop)
         tops = np.empty((g, n_gen))

@@ -112,7 +112,7 @@ def main(argv=None) -> int:
                             export_format=args.format, workers=args.workers)
         elif args.command == "eval":
             cfg = _load_with_overrides(args)
-            records = evaluate_genome(cfg, args.genome)
+            records = evaluate_genome(cfg, args.genome, export_format=args.format)
         else:
             force = "oracle" if args.command == "oracle" else None
             cfg = _load_with_overrides(args, force_policy=force)

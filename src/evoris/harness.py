@@ -10,8 +10,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -361,9 +363,12 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, *,
     """One full experiment per value, everything else (seed included) fixed.
 
     Every point reuses the same master seed so evaluation channels are
-    common random numbers across the sweep axis.  Results aggregate into
-    the base out_dir with a plot-data CSV alongside.  A bad path or export
-    format is refused before the first point runs.
+    common random numbers across the sweep axis.  Each point writes into a
+    directory named after the value its config stores, each run of
+    characters other than letters, digits and ``.+-`` as one "_"
+    (``[0, 0, 2]`` as ``0.0_0.0_2.0``).  Results aggregate into the base out_dir with a
+    plot-data CSV alongside.  A bad path or export format is refused before
+    the first point runs.
     """
     _require_export_format(export_format)
     if not isinstance(parameter, str) or not parameter:
@@ -374,7 +379,9 @@ def sweep(cfg: ExperimentConfig, parameter: str, values, *,
     for value in values:
         point = set_config_parameter(cfg, parameter, value)
         if base_out is not None:
-            point.out_dir = str(base_out / parameter.replace(".", "_") / str(value))
+            stored = str(reduce(getattr, parameter.split("."), point))
+            point.out_dir = str(base_out / parameter.replace(".", "_") /
+                                re.sub(r"[^\w.+-]+", "_", stored).strip("_"))
         records.extend(run_experiment(point, param_name=parameter,
                                       param_value=value,
                                       export_format=export_format,
@@ -547,8 +554,11 @@ def import_channel_trace(path, scenario: ScenarioConfig | None = None):
             for ep in range(n_episodes)]
 
 
-def evaluate_genome(cfg: ExperimentConfig, genome_path) -> list[MetricRecord]:
-    """Evaluate a saved genome under the config's scenario, no training."""
+def evaluate_genome(cfg: ExperimentConfig, genome_path,
+                    export_format: str = "csv") -> list[MetricRecord]:
+    """Evaluate a saved genome under the config's scenario, no training; an
+    export format not in ``EXPORT_FORMATS`` raises ValueError first."""
+    _require_export_format(export_format)
     if cfg.policy not in TRAINED_KINDS:
         raise ConfigError(f"policy: {cfg.policy!r} has no genome to evaluate")
     policy_cfg, agg_cfg = trained_policy_configs(cfg)
@@ -561,5 +571,5 @@ def evaluate_genome(cfg: ExperimentConfig, genome_path) -> list[MetricRecord]:
     if cfg.out_dir is not None:
         out_path = Path(cfg.out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-        export_results([rec], out_path, "csv")
+        export_results([rec], out_path, export_format)
     return [rec]

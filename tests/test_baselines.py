@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evoris import baselines
-from evoris.baselines import (LgaParams, exhaustive_oracle, lga_solve,
+from evoris.baselines import (LgaParams, exhaustive_oracle, lga_solve, project,
                               random_baseline)
 from evoris.channel import ChannelSet, sample_episodes
 from evoris.harness import load_config
@@ -54,9 +54,9 @@ def test_lga_two_point_exhaustive():
                     h1_list=[np.array([[0.8 - 0.3j]])],
                     h2_list=[np.array([0.6 + 0.9j])])
     cb = dft_codebook(1)
-    init = np.array([[-1.0], [1.0]])  # both admissible strings
-    res = lga_solve(cs, UNIT, cb, LgaParams(individuals=2, generations=1),
-                    make_rng(1), init=init)
+    # with 2 individuals and p_mut = 1/n_bits = 1 the one child is the top
+    # string flipped, so the second generation scores both admissible strings
+    res = lga_solve(cs, UNIT, cb, LgaParams(individuals=2, generations=2), make_rng(1))
     d = np.conj(cs.h[0]) * cb[0, 0]
     s = np.conj(cs.h1_list[0][0, 0]) * np.conj(cs.h2_list[0][0]) * cb[0, 0]
     best = max(abs(d + s) ** 2, abs(d - s) ** 2)
@@ -110,43 +110,43 @@ def test_lga_multi_ris_phase_split():
     assert abs(res.gamma - recomputed) < 1e-10 * max(recomputed, 1e-30)
 
 
-def block_draws(rng, n_v, params, n_bits, init=None):
+def block_draws(rng, n_v, params, n_bits):
     """The block's draws in ``lga_solve``'s documented order: the initial
-    populations (unless ``init`` is given), the crossover points (unless
-    n_bits is 1) and the flips, each in one call."""
+    populations, the crossover points (unless n_bits is 1) and the flips,
+    each in one call."""
     n_ind, n_gen = params.individuals, params.generations
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, n_ind // 2)
     n_off = n_ind - n_parents
     p_mut = params.p_mut if params.p_mut is not None else 1.0 / n_bits
-    pops = None if init is not None \
-        else rng.integers(0, 2, size=(n_v, n_ind, n_bits)) * 2.0 - 1.0
+    pops = rng.integers(0, 2, size=(n_v, n_ind, n_bits)) * 2.0 - 1.0
     points = rng.integers(1, n_bits, size=(n_v, n_gen, n_off)) if n_bits > 1 \
         else np.zeros((n_v, n_gen, n_off), dtype=np.int64)
     flips = rng.random((n_v, n_gen, n_off, n_bits)) < p_mut
     return pops, points, flips
 
 
-def per_beam_lga(cs, budget, codebook, params, rng, init=None):
+def per_beam_lga(cs, budget, codebook, params, rng):
     """The genetic search one beam at a time, on the block's draws made first:
-    per beam its initial population (or a copy of ``init``), then per
-    generation a sort and a breeding with that beam's crossover points and
-    flips.  Fitness is the projected form ``scale * |b0 - pop @ z|^2`` that
-    ``lga_solve`` uses."""
+    per beam its initial population, then per generation a sort and a
+    breeding with that beam's crossover points and flips.  Fitness is the
+    projected form ``scale * |b0 - pop @ z|^2`` that ``lga_solve`` uses, with
+    b0 and z from ``project``'s product."""
     n_bits = sum(h2.shape[0] for h2 in cs.h2_list)
     n_parents = params.n_parents if params.n_parents is not None \
         else max(1, params.individuals // 2)
     n_off = params.individuals - n_parents
-    pops, points, flips = block_draws(rng, codebook.shape[1], params, n_bits, init)
-    bt = np.concatenate([np.conj(h1) * np.conj(h2)[None, :]
-                         for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1).T
+    pops, points, flips = block_draws(rng, codebook.shape[1], params, n_bits)
+    # every beam's direct term b0 and projected cascade z, one product
+    proj = np.concatenate([np.conj(cs.h)[:, None]] +
+                          [np.conj(h1) * np.conj(h2)[None, :]
+                           for h1, h2 in zip(cs.h1_list, cs.h2_list)], axis=1)
+    bz = np.ascontiguousarray(codebook.T) @ np.ascontiguousarray(proj)
     scale = budget.tx_power_w / budget.noise_power_w
     best_gamma, best_flat, best_idx, evaluations = -1.0, None, -1, 0
     for v_idx in range(codebook.shape[1]):
-        # the beam's direct term b0 and projected cascade z, one product
-        bz = np.vstack([np.conj(cs.h), bt]) @ codebook[:, v_idx]
-        b0, z_re, z_im = bz[0], bz[1:].real.copy(), bz[1:].imag.copy()
-        pop = np.array(init if init is not None else pops[v_idx], dtype=np.float64)
+        b0, z_re, z_im = bz[v_idx, 0], bz[v_idx, 1:].real.copy(), bz[v_idx, 1:].imag.copy()
+        pop = pops[v_idx].copy()
         for gen in range(params.generations):
             re, im = b0.real - pop @ z_re, b0.imag - pop @ z_im
             gammas = scale * (re * re + im * im)
@@ -168,9 +168,9 @@ def per_beam_lga(cs, budget, codebook, params, rng, init=None):
 
 
 def lga_edge_cases():
-    """(channels, codebook, params, init): one and two surfaces, one element,
-    a blocked direct path, the smallest population, an ``init`` population,
-    p_mut 0 and 1, the default and a single parent, 1-5 generations."""
+    """(channels, codebook, params): one and two surfaces, one element, a
+    blocked direct path, the smallest population, p_mut 0 and 1, the default
+    and a single parent, 1-5 generations."""
     rng = make_rng(20)
     cases = []
     for i in range(48):
@@ -182,9 +182,7 @@ def lga_edge_cases():
                            p_mut=(None, 0.0, 1.0, 0.3)[(i // 4) % 4],
                            n_parents=individuals - 1 if i % 5 == 0 else None)
         cs = random_channel_set(rng, n_tx, n_ris, k=k, direct=i % 4 != 0)
-        init = rng.integers(0, 2, (individuals, k * n_ris)) * 2.0 - 1.0 \
-            if i % 6 == 0 else None
-        cases.append((cs, dft_codebook(n_tx), params, init))
+        cases.append((cs, dft_codebook(n_tx), params))
     return cases
 
 
@@ -194,11 +192,10 @@ def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
     # group of all its beams under every budget
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
     budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
-    for seed, (cs, cb, params, init) in enumerate(lga_edge_cases()):
+    for seed, (cs, cb, params) in enumerate(lga_edge_cases()):
         rng_ref, rng = make_rng(100 + seed), make_rng(100 + seed)
-        phases, idx, gamma, evaluations = per_beam_lga(cs, budget, cb, params, rng_ref,
-                                                       init)
-        res = lga_solve(cs, budget, cb, params, rng, init=init)
+        phases, idx, gamma, evaluations = per_beam_lga(cs, budget, cb, params, rng_ref)
+        res = lga_solve(cs, budget, cb, params, rng)
         got = [res.phases] if cs.ris_count == 1 else res.phases
         assert res.gamma == gamma and res.precoder_index == idx
         assert res.evaluations == evaluations
@@ -207,19 +204,19 @@ def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
-def assert_stack_equals_block_calls(blocks, budget, cb, params, init, seed):
+def assert_stack_equals_block_calls(blocks, budget, cb, params, seed):
     """A stacked search of ``blocks`` against one-block calls in order, and
     against the per-beam reference, on one stream each: every block's gamma,
     beam and phases, the evaluation total (an int) and the end state."""
     rng_ref, rng_one, rng = make_rng(seed), make_rng(seed), make_rng(seed)
-    res = lga_solve(blocks, budget, cb, params, rng, init=init)
+    res = lga_solve(blocks, budget, cb, params, rng)
     assert type(res.evaluations) is int
     assert res.gamma.dtype == np.float64 and res.gamma.shape == (len(blocks),)
     assert res.precoder_index.dtype == np.int64 and len(res.phases) == len(blocks)
     evaluations = 0
     for i, cs in enumerate(blocks):
-        phases, idx, gamma, count = per_beam_lga(cs, budget, cb, params, rng_ref, init)
-        one = lga_solve(cs, budget, cb, params, rng_one, init=init)
+        phases, idx, gamma, count = per_beam_lga(cs, budget, cb, params, rng_ref)
+        one = lga_solve(cs, budget, cb, params, rng_one)
         assert res.gamma[i] == one.gamma == gamma, i
         assert res.precoder_index[i] == one.precoder_index == idx, i
         got = [res.phases[i]] if cs.ris_count == 1 else res.phases[i]
@@ -242,11 +239,11 @@ def test_lga_stack_equals_one_block_calls(monkeypatch, group_bytes):
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
     budget = LinkBudget(tx_power_w=2.5, noise_power_w=1e-3)
     rng = make_rng(34)
-    for seed, (cs, cb, params, init) in enumerate(lga_edge_cases()):
+    for seed, (cs, cb, params) in enumerate(lga_edge_cases()):
         n_tx, k, n_ris = cs.h.shape[0], cs.ris_count, cs.h2_list[0].shape[0]
         blocks = [cs] + [random_channel_set(rng, n_tx, n_ris, k=k, direct=j % 2 == 0)
                          for j in range(seed % 4)]
-        assert_stack_equals_block_calls(blocks, budget, cb, params, init, 200 + seed)
+        assert_stack_equals_block_calls(blocks, budget, cb, params, 200 + seed)
 
 
 @pytest.mark.parametrize("group_bytes", [1, baselines.LGA_GROUP_BYTES, 1 << 30])
@@ -257,8 +254,7 @@ def test_lga_paper_stack_equals_one_block_calls(monkeypatch, group_bytes):
     cfg = load_config(CONFIGS / "single_ris.yaml")
     (blocks,) = sample_episodes(cfg.scenario, 1, 3, derive_rng(cfg.seed, "eval", "channels"))
     cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
-    assert_stack_equals_block_calls(blocks, link_budget_from(cfg.scenario), cb, cfg.lga,
-                                    None, 35)
+    assert_stack_equals_block_calls(blocks, link_budget_from(cfg.scenario), cb, cfg.lga, 35)
 
 
 @pytest.mark.parametrize("group_bytes", [1, 1 << 30])
@@ -268,7 +264,7 @@ def test_lga_stack_ties_go_to_the_lowest_beam(monkeypatch, group_bytes):
     monkeypatch.setattr(baselines, "LGA_GROUP_BYTES", group_bytes)
     rng = make_rng(40)
     blocks = [zero_channel_set(4, 3), random_channel_set(rng, 4, 3), zero_channel_set(4, 3)]
-    assert_stack_equals_block_calls(blocks, UNIT, dft_codebook(4), LgaParams(), None, 41)
+    assert_stack_equals_block_calls(blocks, UNIT, dft_codebook(4), LgaParams(), 41)
     res = lga_solve(blocks, UNIT, dft_codebook(4), LgaParams(), make_rng(41))
     assert res.precoder_index[0] == res.precoder_index[2] == 0
 
@@ -324,27 +320,25 @@ def test_lga_runs_of_whole_blocks_fit_the_byte_budget(monkeypatch):
     assert run_sizes(blocks[:3], dft_codebook(4), LgaParams()) == [1, 1, 1]
 
 
-@pytest.mark.parametrize("n_ris, with_init", [(6, False), (6, True), (1, False)])
-def test_lga_makes_the_documented_draws(n_ris, with_init):
+@pytest.mark.parametrize("n_ris", [6, 1])
+def test_lga_makes_the_documented_draws(n_ris):
     # the stream ends where a fresh one does after exactly the documented
-    # draws: three calls, two with an init population, two with one element
-    rng = make_rng(27)
-    cs = random_channel_set(rng, 2, n_ris)
+    # draws: three calls, two with one element
+    cs = random_channel_set(make_rng(27), 2, n_ris)
     params = LgaParams(individuals=5, generations=3)
-    init = rng.integers(0, 2, (5, n_ris)) * 2.0 - 1.0 if with_init else None
     res_rng, ref_rng = make_rng(28), make_rng(28)
-    lga_solve(cs, UNIT, dft_codebook(2), params, res_rng, init=init)
-    block_draws(ref_rng, 2, params, n_ris, init)
+    lga_solve(cs, UNIT, dft_codebook(2), params, res_rng)
+    block_draws(ref_rng, 2, params, n_ris)
     assert res_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def searched_gammas(cs, budget, codebook, pop):
-    """(strings, beams) SNRs as the search scores them: each string, twice, as
-    the ``init`` population of a one-generation search on one beam."""
-    params = LgaParams(individuals=2, generations=1)
-    return np.array([[lga_solve(cs, budget, codebook[:, v:v + 1], params, make_rng(0),
-                                init=np.stack([s, s])).gamma
-                      for v in range(codebook.shape[1])] for s in pop])
+def projected_gammas(cs, budget, codebook, pop):
+    """(strings, beams) SNRs as the search scores them, scale * |b0 - pop @ z|^2
+    with b0 and z from ``project``."""
+    (b0,), (z,) = project([cs], codebook)
+    re = b0.real - pop @ z.real.T
+    im = b0.imag - pop @ z.imag.T
+    return budget.tx_power_w / budget.noise_power_w * (re * re + im * im)
 
 
 def full_cascade_gammas(cs, budget, codebook, pop):
@@ -372,7 +366,7 @@ def test_lga_fitness_equals_the_full_cascade():
         cb = dft_codebook(n_tx)
         pop = rng.integers(0, 2, (6, 5 * k)) * 2.0 - 1.0
         ref, _ = full_cascade_gammas(cs, budget, cb, pop)
-        got = searched_gammas(cs, budget, cb, pop)
+        got = projected_gammas(cs, budget, cb, pop)
         assert np.all(np.abs(got - ref) <= 1e-12 * ref), (i, n_tx, k, direct)
 
 
@@ -386,10 +380,54 @@ def test_lga_fitness_equals_the_full_cascade_on_a_paper_block():
     cb = evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)
     pop = make_rng(26).integers(0, 2, (3, cfg.scenario.n_ris)) * 2.0 - 1.0
     ref, terms = full_cascade_gammas(cs, budget, cb, pop)
-    got = searched_gammas(cs, budget, cb, pop)
+    got = projected_gammas(cs, budget, cb, pop)
     assert np.all(np.abs(got[:, 0] - ref[:, 0]) <= 1e-12 * ref[:, 0])
     assert np.all(ref[:, 1:] < 1e-20 * terms[1:])
     assert np.all(np.abs(got[:, 1:] - ref[:, 1:]) <= 1e-12 * terms[1:])
+
+
+def test_project_of_a_stack_equals_one_block_calls():
+    # every block's b0 and z, bit for bit, whatever its neighbours: stacks of
+    # 1-4 blocks shaped as each edge case, and three paper blocks that share
+    # one line-of-sight H1
+    rng = make_rng(44)
+    stacks = []
+    for cs, cb, _ in lga_edge_cases():
+        n_tx, k, n_ris = cs.h.shape[0], cs.ris_count, cs.h2_list[0].shape[0]
+        stacks.append(([cs] + [random_channel_set(rng, n_tx, n_ris, k=k, direct=j % 2 == 0)
+                               for j in range(3)], cb))
+    cfg = load_config(CONFIGS / "single_ris.yaml")
+    (paper,) = sample_episodes(cfg.scenario, 1, 3, derive_rng(cfg.seed, "eval", "channels"))
+    stacks.append((paper, evaluation_codebook(cfg.scenario, cfg.arch.codebook_size)))
+    for blocks, cb in stacks:
+        b0, z = project(blocks, cb)
+        n_bits = sum(h2.shape[0] for h2 in blocks[0].h2_list)
+        assert b0.shape == (len(blocks), cb.shape[1])
+        assert z.shape == (len(blocks), cb.shape[1], n_bits)
+        for i, cs in enumerate(blocks):
+            (one_b0,), (one_z,) = project([cs], cb)
+            assert np.array_equal(b0[i], one_b0) and np.array_equal(z[i], one_z)
+
+
+def test_project_does_not_depend_on_the_memory_layout():
+    # C-ordered, Fortran-ordered and column-sliced codebooks give the same
+    # bits, and so does a Fortran-ordered H1
+    rng = make_rng(45)
+    for n_tx in (1, 2, 3, 4, 8, 16):
+        for n_v in (1, 3, n_tx):
+            for k, n_ris in ((1, 1), (1, 5), (2, 3), (1, 16)):
+                cs = random_channel_set(rng, n_tx, n_ris, k=k, direct=n_ris != 5)
+                wide = rng.standard_normal((n_tx, n_v + 1)) \
+                    + 1j * rng.standard_normal((n_tx, n_v + 1))
+                cb = np.ascontiguousarray(wide[:, 1:])
+                b0, z = project([cs], cb)
+                fortran_h1 = ChannelSet(h=cs.h, h2_list=cs.h2_list,
+                                        h1_list=[np.asfortranarray(h1) for h1 in cs.h1_list])
+                for other_cs, other_cb in ((cs, np.asfortranarray(cb)), (cs, wide[:, 1:]),
+                                           (fortran_h1, cb)):
+                    other_b0, other_z = project([other_cs], other_cb)
+                    assert np.array_equal(other_b0, b0) and np.array_equal(other_z, z), \
+                        (n_tx, n_v, k, n_ris)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -61,6 +61,18 @@ def test_train_then_eval_genome(config_path, tmp_path, capsys):
     assert evaluated.split(": ", 1)[1] == trained.split(": ", 1)[1]
 
 
+def test_eval_writes_the_chosen_format(config_path, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(config_path), "--out", str(out),
+                 "--policy", "attention"]) == 0
+    scored = tmp_path / "eval"
+    assert main(["eval", "--config", str(config_path), "--policy", "attention",
+                 "--out", str(scored), "--format", "json",
+                 "--genome", str(out / "train" / "best.genome")]) == 0
+    assert (scored / "metrics.json").exists()
+    assert not (scored / "metrics.csv").exists()
+
+
 def test_sweep_command(config_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--config", str(config_path), "--out", str(out),
@@ -325,6 +337,23 @@ def test_sweep_of_a_list_valued_field(config_path, tmp_path, capsys):
     assert [row[:2] for row in plot] == [[p, "random"] for p in points]
     assert [row[2] for row in plot] == [row["mean_snr_db"] for row in rows]
     assert all(len(row) == len(header) for row in plot)
+
+
+@pytest.mark.parametrize("param,values,names", [
+    ("scenario.tx_position", "[0,0,2],[0,0,2.5]", ["0.0_0.0_2.0", "0.0_0.0_2.5"]),
+    ("scenario.tx_power_dbm", "30,30.0", ["30.0"]),
+    ("arch.conv_channels", "[8,4]", ["8_4"]),
+])
+def test_sweep_names_each_point_directory_by_its_stored_value(config_path, tmp_path,
+                                                              capsys, param, values, names):
+    # no spaces, brackets or parentheses, and one directory for one point
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--config", str(config_path), "--out", str(out),
+               "--param", param, "--values", values])
+    assert rc == 0
+    points = out / param.replace(".", "_")
+    assert sorted(p.name for p in points.iterdir()) == names
+    assert all((points / name / "metrics.csv").exists() for name in names)
 
 
 @pytest.mark.parametrize("field,value", [

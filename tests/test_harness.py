@@ -279,6 +279,14 @@ def test_evaluate_genome_rejects_untrained_policy(tmp_path):
         evaluate_genome(cfg, tmp_path / "missing.genome")
 
 
+def test_evaluate_genome_refuses_an_unknown_format_before_loading(tmp_path):
+    # the genome file is missing too: the format is named first, nothing written
+    cfg = tiny_config(policy="attention", out_dir=str(tmp_path / "e"))
+    with pytest.raises(ValueError, match="unknown export format 'xml'"):
+        evaluate_genome(cfg, tmp_path / "missing.genome", export_format="xml")
+    assert not (tmp_path / "e").exists()
+
+
 # -- sweep -----------------------------------------------------------------------
 
 def test_sweep_empty_values_no_records():

@@ -1,4 +1,5 @@
-"""Smoke test: ``tools/ab.py`` times this checkout against itself in fresh processes."""
+"""Smoke tests: ``tools/ab.py`` times this checkout against itself in fresh
+processes, and ``tools/exactness.py`` digests its runs."""
 
 import re
 import subprocess
@@ -48,3 +49,15 @@ def test_ab_runs_the_policy_paths():
     assert [line.split()[:2] for line in lines] == [[c, f"{p}:"] for c in DESK_CONFIGS
                                                     for p in paths]
     assert all(line.endswith("bits equal in every round") for line in lines)
+
+
+def test_exactness_prints_33_digests_and_exits_0():
+    # the exit status also checks that the 2-worker run equals the one-process
+    # run and that the stacked paper LGA equals one-block calls
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "exactness.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 33
+    assert all(re.fullmatch(r"\S+ \S+ [0-9a-f]{64}", line) for line in lines), lines
