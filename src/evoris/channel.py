@@ -162,10 +162,22 @@ class _Ricean:
     nlos: float
     amp: float
 
-    def draw(self, rng: np.random.Generator) -> np.ndarray:
-        shape = self.los.shape
-        g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
-        return self.amp * (self.los + self.nlos * g)
+    def apply(self, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+        """The law on standard normals ``re`` and ``im`` of shape
+        (..., rows, cols): one matrix per leading index, each entry's bits
+        those of a draw of that matrix alone.
+
+        The result is amp * (los + nlos * ((re + 1j * im) / sqrt(2))), each
+        step after the first taken in place on the one temporary: a sum, or a
+        product with a real scalar, has the same bits with its operands
+        swapped.
+        """
+        g = re + 1j * im
+        g /= math.sqrt(2.0)
+        g *= self.nlos
+        g += self.los
+        g *= self.amp
+        return g
 
 
 def _ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
@@ -188,9 +200,12 @@ def sample_ricean(rows: int, cols: int, kappa_db: float, los: np.ndarray,
 
     Output is sqrt(avg_power) * (sqrt(k/(k+1)) * los_hat + sqrt(1/(k+1)) * G)
     with G i.i.d. standard complex Gaussian and k the linear Ricean factor,
-    so E[|entry|^2] == avg_power for every k.
+    so E[|entry|^2] == avg_power for every k.  One ``standard_normal`` call
+    draws the real parts, then the imaginary parts.
     """
-    return _ricean(rows, cols, kappa_db, los, avg_power).draw(rng)
+    law = _ricean(rows, cols, kappa_db, los, avg_power)
+    re, im = rng.standard_normal((2, rows, cols))
+    return law.apply(re, im)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -204,7 +219,8 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 class _RisLink:
     """One surface's links: ``h1`` is the shared read-only TX-RIS matrix of a
     line-of-sight link (``kappa_h1_db is None``), else None and ``h1_law``
-    draws it; ``h2_law`` draws the RIS-RX vector as an (n_ris, 1) column."""
+    draws it; ``h2_law`` is the law of the RIS-RX vector as an (n_ris, 1)
+    column."""
 
     h1: np.ndarray | None
     h1_law: _Ricean | None
@@ -215,6 +231,7 @@ class _RisLink:
 class _Geometry:
     direct_law: _Ricean | None   # None when the direct link is blocked
     links: tuple[_RisLink, ...]
+    laws: tuple[_Ricean, ...]    # every drawn law, in draw order
 
 
 @lru_cache(maxsize=32)
@@ -255,42 +272,61 @@ def _geometry(cfg: ScenarioConfig) -> _Geometry:
         p2 = free_space_gain(d2, lam) ** 2
         links.append(_RisLink(h1=h1, h1_law=h1_law, h2_law=_ricean(
             cfg.n_ris, 1, cfg.kappa_h2_db, a_ris_rx[:, None], p2)))
-    return _Geometry(direct_law=direct_law, links=tuple(links))
+    laws = [direct_law] + [law for link in links for law in (link.h1_law, link.h2_law)]
+    return _Geometry(direct_law=direct_law, links=tuple(links),
+                     laws=tuple(law for law in laws if law is not None))
 
 
 def sample_channel_set(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
-    """Draw one i.i.d. coherence-block realization for the configured scenario.
+    """Draw one i.i.d. coherence-block realization for the configured
+    scenario: the one-block case of ``sample_episodes``."""
+    return sample_episodes(cfg, 1, 1, rng)[0][0]
 
-    Draw order is fixed (direct link first, then per-RIS TX-RIS and RIS-RX)
-    so equal seeds give identical ChannelSets.  A blocked direct link is an
-    exact zero vector and consumes no randomness.  The geometry is computed
-    once per scenario; a line-of-sight H1 (``kappa_h1_db is None``) draws
-    nothing and is one shared read-only array in every ChannelSet of the
-    scenario.
-    """
-    geo = _geometry(cfg)
-    if geo.direct_law is None:
-        h = np.zeros(cfg.n_tx, dtype=np.complex128)
-    else:
-        h = geo.direct_law.draw(rng).ravel()
 
-    h1_list, h2_list = [], []
-    for link in geo.links:
-        h1_list.append(link.h1 if link.h1_law is None else link.h1_law.draw(rng))
-        h2_list.append(link.h2_law.draw(rng).ravel())
-
-    return ChannelSet(h=h, h1_list=h1_list, h2_list=h2_list)
+def _draw(laws: tuple[_Ricean, ...], horizon: int,
+          rng: np.random.Generator) -> list[np.ndarray]:
+    """Each law of ``laws`` for ``horizon`` steps, (horizon, rows, cols) per
+    law, from one ``standard_normal`` call of (horizon, n) normals: a step's
+    row holds each law's real parts, then its imaginary parts, law by law."""
+    z = rng.standard_normal((horizon, sum(2 * law.los.size for law in laws)))
+    out, at = [], 0
+    for law in laws:
+        size, shape = law.los.size, (horizon, *law.los.shape)
+        out.append(law.apply(z[:, at:at + size].reshape(shape),
+                             z[:, at + size:at + 2 * size].reshape(shape)))
+        at += 2 * size
+    return out
 
 
 def sample_episodes(cfg: ScenarioConfig, episodes: int, horizon: int,
                     rng: np.random.Generator) -> list[list[ChannelSet]]:
     """Pre-draw a block of i.i.d. channel realizations, episode-major.
 
-    Returns ``episodes`` lists of ``horizon`` ChannelSets each, drawn in the
-    same order a step-by-step rollout would consume them.
+    Returns ``episodes`` lists of ``horizon`` ChannelSets each.  Draw order
+    is fixed: per step the direct link, then per surface a Ricean TX-RIS
+    matrix and the RIS-RX vector, so equal seeds give identical blocks.
+    Each episode is one ``standard_normal`` call; the generator keeps no
+    state between calls, so the stream and every bit equal a step-by-step
+    draw.  A step's ``h``, ``h2`` and Ricean ``H1`` are writable,
+    non-overlapping row views of its episode's arrays.  A blocked direct
+    link is an exact zero vector and consumes no randomness.  The geometry
+    is computed once per scenario; a line-of-sight H1 (``kappa_h1_db is
+    None``) draws nothing and is one shared read-only array in every
+    ChannelSet of the scenario.
     """
     if episodes < 1 or horizon < 1:
         raise ValueError("episodes and horizon must be >= 1")
-    return [[sample_channel_set(cfg, rng) for _ in range(horizon)]
-            for _ in range(episodes)]
-
+    geo = _geometry(cfg)
+    block = []
+    for _ in range(episodes):
+        drawn = iter(_draw(geo.laws, horizon, rng))
+        h = (np.zeros((horizon, cfg.n_tx), dtype=np.complex128)
+             if geo.direct_law is None else next(drawn).reshape(horizon, cfg.n_tx))
+        h1s, h2s = [], []
+        for link in geo.links:
+            h1s.append([link.h1] * horizon if link.h1_law is None else next(drawn))
+            h2s.append(next(drawn).reshape(horizon, cfg.n_ris))
+        block.append([ChannelSet(h=h[t], h1_list=[h1[t] for h1 in h1s],
+                                 h2_list=[h2[t] for h2 in h2s])
+                      for t in range(horizon)])
+    return block

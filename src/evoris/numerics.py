@@ -130,14 +130,15 @@ def layer_norm(m: np.ndarray, eps: float = LAYER_NORM_EPS) -> np.ndarray:
     """Normalize each row to zero mean and (epsilon-stabilized) unit variance.
 
     No learnable affine parameters; downstream layers carry any needed
-    scale or shift.  A 1-D input is treated as a single row.
+    scale or shift.  A 1-D input is treated as a single row.  The variance
+    is the sum ``np.var`` takes, over the one deviation array.
     """
     m = np.asarray(m, dtype=np.float64)
     if not np.isfinite(m).all():
         raise ValueError("layer_norm requires finite input")
-    mean = m.mean(axis=-1, keepdims=True)
-    var = m.var(axis=-1, keepdims=True)
-    return (m - mean) / np.sqrt(var + eps)
+    d = m - m.mean(axis=-1, keepdims=True)
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / m.shape[-1]
+    return d / np.sqrt(var + eps)
 
 
 def conv2d_same(inp: np.ndarray, kernels: np.ndarray,

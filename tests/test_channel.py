@@ -317,3 +317,95 @@ def test_ricean_h1_is_a_fresh_array_per_step():
     assert len({id(h1) for h1 in h1s}) == len(h1s)
     assert all(h1.flags.writeable for h1 in h1s)
     assert not any(np.array_equal(h1s[0], h1) for h1 in h1s[1:])
+
+
+# -- one vectorized draw per episode --------------------------------------------
+
+# Variants of each shipped scenario: a Ricean H1, Rayleigh fading on every
+# link, and the direct link opened where the config blocks it.
+VARIANTS = {
+    "ricean_h1": dict(kappa_h1_db=10.0),
+    "rayleigh": dict(kappa_h1_db=-math.inf, kappa_h2_db=-math.inf, kappa_h_db=-math.inf),
+    "open_direct": dict(direct_blocked=False),
+}
+
+# sample_episodes(scenario, 2, 3, make_rng(35)) per scenario: the SHA-256
+# (first 16 hex digits) of h, every H1 and every h2 of every block in order,
+# as little-endian complex128, then of the generator state afterwards.
+# Recorded while each block still drew its links one law at a time, so they
+# pin that one draw per episode changes no bit and no draw.  An open direct
+# link that a config already opens is no variant.
+PINNED_BLOCKS = {
+    "single_ris": ("0734240e70f813a4", "ceffaad33bfd442e"),
+    "single_ris+ricean_h1": ("8f22f0b036e349a5", "2ede960da245cf41"),
+    "single_ris+rayleigh": ("5352453e58793640", "2ede960da245cf41"),
+    "single_ris+open_direct": ("777b5347f823c313", "ce793cac48ea9179"),
+    "single_ris_desk": ("1801bba5c64cab03", "34f28e4c631908fe"),
+    "single_ris_desk+ricean_h1": ("9cb1ac6949ae5971", "81b9a3d143bba92a"),
+    "single_ris_desk+rayleigh": ("a1647b11cda4537c", "81b9a3d143bba92a"),
+    "single_ris_desk+open_direct": ("b6fff9b6db74e793", "17df4a74d472634a"),
+    "multi_ris_k2": ("f3a95e58e6a777df", "77cdcf0007d34ae1"),
+    "multi_ris_k2+ricean_h1": ("5dd5ab0e33327f0a", "7be049a5008d6e1b"),
+    "multi_ris_k2+rayleigh": ("5c4a7b12873ce6db", "7be049a5008d6e1b"),
+    "multi_ris_k4": ("339f9c6e8c3aaf16", "cb190bebecb0b91b"),
+    "multi_ris_k4+ricean_h1": ("f81ad6e34cfc52d6", "bdc66e7e932b1153"),
+    "multi_ris_k4+rayleigh": ("19cacced20855824", "bdc66e7e932b1153"),
+    "multi_ris_desk": ("5ae5b361d632b4dc", "a08bf276872a896a"),
+    "multi_ris_desk+ricean_h1": ("8b041f835e112777", "f77f5027b45269ce"),
+    "multi_ris_desk+rayleigh": ("3116bf98500c9d67", "f77f5027b45269ce"),
+}
+
+
+def case_scenario(case):
+    name, _, variant = case.partition("+")
+    scenario = config_scenario(name)
+    return replace(scenario, **VARIANTS[variant]) if variant else scenario
+
+
+def block_arrays(block):
+    return [a for episode in block for cs in episode
+            for a in [cs.h, *cs.h1_list, *cs.h2_list]]
+
+
+@pytest.mark.parametrize("case", list(PINNED_BLOCKS))
+def test_episode_blocks_match_recorded_bytes(case):
+    rng = make_rng(35)
+    block = sample_episodes(case_scenario(case), 2, 3, rng)
+    digest = hashlib.sha256()
+    for a in block_arrays(block):
+        digest.update(np.ascontiguousarray(a, dtype="<c16").tobytes())
+    state = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+    assert (digest.hexdigest()[:16], hashlib.sha256(state).hexdigest()[:16]) == \
+        PINNED_BLOCKS[case]
+
+
+@pytest.mark.parametrize("case", ["multi_ris_desk+ricean_h1", "single_ris_desk+open_direct",
+                                  "single_ris_desk"])
+def test_writing_one_block_leaves_every_other_block_unchanged(case):
+    scenario = case_scenario(case)
+    block = sample_episodes(scenario, 2, 3, make_rng(36))
+    steps = [cs for episode in block for cs in episode]
+    for i, cs in enumerate(steps):
+        writable = [cs.h, *cs.h2_list, *(cs.h1_list if scenario.kappa_h1_db is not None
+                                         else [])]
+        assert all(a.flags.writeable for a in writable)
+        before = [a.copy() for a in block_arrays(block)]
+        for a in writable:
+            a[...] = 7.0 + 7.0j
+        after = block_arrays(block)
+        others = [k for k, a in enumerate(after) if not any(a is w for w in writable)]
+        assert all(np.array_equal(after[k], before[k]) for k in others), i
+        assert all(np.all(a == 7.0 + 7.0j) for a in writable)
+
+
+@pytest.mark.parametrize("case", ["single_ris_desk", "multi_ris_desk+ricean_h1",
+                                  "single_ris_desk+open_direct"])
+def test_sample_channel_set_is_the_one_block_episode(case):
+    scenario = case_scenario(case)
+    rng_a, rng_b = make_rng(37), make_rng(37)
+    for _ in range(3):
+        a = sample_channel_set(scenario, rng_a)
+        b = sample_episodes(scenario, 1, 1, rng_b)[0][0]
+        for x, y in zip([a.h, *a.h1_list, *a.h2_list], [b.h, *b.h1_list, *b.h2_list]):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state

@@ -15,9 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evoris.numerics import (FieldError, check_fields, conv2d_same, derive_rng,
-                             derive_seed, even_runs, layer_norm, make_rng, relu,
-                             sign_pm1, softmax_global)
+from evoris.numerics import (LAYER_NORM_EPS, FieldError, check_fields, conv2d_same,
+                             derive_rng, derive_seed, even_runs, layer_norm, make_rng,
+                             relu, sign_pm1, softmax_global)
 
 
 # -- check_fields: the one rule for config fields ------------------------------
@@ -172,6 +172,37 @@ def test_layer_norm_per_row():
     out = layer_norm(m)
     rows = np.stack([layer_norm(m[i]) for i in range(4)])
     assert np.allclose(out, rows, atol=1e-14)
+
+
+def _layer_norm_inputs(rng):
+    """2-D and 3-D stacks with offsets up to 1e6, constant rows, and the same
+    values C-ordered, Fortran-ordered and with reversed strides."""
+    for shape in ((1, 5), (16, 10), (3, 16, 10), (2, 4, 34), (7, 1)):
+        for offset in (0.0, 3.0, 1e6):
+            m = rng.standard_normal(shape) * rng.uniform(0.1, 10.0) + offset
+            m[..., 0, :] = offset   # a constant row
+            yield m
+            yield np.asfortranarray(m)
+            yield m[..., ::-1, ::-1]
+
+
+def test_layer_norm_equals_mean_and_var_bit_for_bit():
+    # the variance comes from the one deviation array; the bits are those of
+    # the formula on NumPy's own mean and var
+    rng = make_rng(40)
+    count = 0
+    for m in _layer_norm_inputs(rng):
+        mean = m.mean(axis=-1, keepdims=True)
+        want = (m - mean) / np.sqrt(m.var(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+        assert layer_norm(m).tobytes() == want.tobytes()
+        count += 1
+    assert count == 45
+
+
+def test_layer_norm_refuses_non_finite_input():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            layer_norm(np.array([[1.0, bad, 2.0]]))
 
 
 # -- conv2d_same --------------------------------------------------------------

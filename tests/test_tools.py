@@ -42,7 +42,8 @@ def test_ab_refuses_lga_eval_with_a_changed_stream():
 
 
 def test_ab_runs_the_policy_paths():
-    paths = ("train", "eval", "decide")
+    # ``sample`` compares every channel array and the stream's end state
+    paths = ("train", "eval", "decide", "sample")
     done = run_ab("--paths", ",".join(paths))
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()

@@ -1,7 +1,7 @@
 """In-process A/B of two checkouts: the same inputs through both, alternately.
 
     python3 tools/ab.py --base DIR [--change DIR] [--rounds 30] [--paper]
-                        [--paths train,eval,decide,lga,lga_eval]
+                        [--paths train,eval,decide,lga,lga_eval,sample]
                         [--lga-stream-changed]
 
 Copies each checkout's ``src/evoris`` into a temporary directory under its own
@@ -10,7 +10,7 @@ relatively, so each copy runs its own code) and imports both into this
 process.  ``--change`` defaults to this checkout; ``--base`` is typically a
 ``git archive`` of the parent commit.  For each of ``configs/single_ris_desk.yaml``
 and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
-``--paper``) it times five paths:
+``--paper``) it times six paths:
 
 - ``train``: ``multiris.rollout`` in sample mode of a training block
   (``t_e_train`` episodes of 25 steps) for each of 20 seeded genomes, each
@@ -27,13 +27,18 @@ and ``configs/multi_ris_desk.yaml`` (and ``configs/single_ris.yaml`` with
 - ``lga_eval``: ``harness.evaluate_policy`` with ``policy: lga`` and a quarter
   of the config's ``eval_episodes`` (the bench's LGA unit), its channels and
   policy stream seeded by the round, which runs on any tree whatever
-  ``lga_solve`` takes.
+  ``lga_solve`` takes;
+- ``sample``: ``channel.sample_episodes`` of the evaluation block, drawn as
+  the other paths draw it; the SHA-256 of every ``h``, ``h1_list`` and
+  ``h2_list`` array and of the stream's end state is taken after the clock
+  stops.
 
 Round r draws its channel blocks from seed r; each tree samples them with its
 own code.  The two trees run each path back to back, the base first on even
 rounds, and their outputs (gammas; phases, picks and precoder probabilities)
 must be bitwise equal, else the tool stops with status 1 (for ``lga_eval``
-the per-episode gammas and the evaluation count).  ``lga`` is the one
+the per-episode gammas and the evaluation count; for ``sample`` every array
+and the stream's end state).  ``lga`` is the one
 path compared another way: its phases, beams and the policy stream's end
 state must be bitwise equal, while its gammas are compared by their largest
 relative difference, which the tool prints, so a search that scores the same
@@ -78,7 +83,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DESK_CONFIGS = ("configs/single_ris_desk.yaml", "configs/multi_ris_desk.yaml")
 PAPER_CONFIG = "configs/single_ris.yaml"
-PATHS = ("train", "eval", "decide", "lga", "lga_eval")
+PATHS = ("train", "eval", "decide", "lga", "lga_eval", "sample")
 TRAIN_HORIZON, GENOMES, DECISION_BLOCKS, GENOME_SCALE = 25, 20, 200, 0.3
 LGA_BLOCKS = 50
 SNR_RTOL = 1e-10
@@ -184,6 +189,25 @@ class Side:
         return b"".join([g.tobytes() for g in per_episode]
                         + [np.int64(evaluations).tobytes()])
 
+    def sample(self, seed: int):
+        """Draw the evaluation block of round ``seed``; returns a function that
+        gives the SHA-256 of every array of every block, in order, and of the
+        stream's end state, so that the time is the draw's alone."""
+        import numpy as np
+        rng = np.random.default_rng([seed, 1])
+        scn = self.cfg.scenario
+        block = self.tree["channel"].sample_episodes(scn, self.cfg.eval_episodes,
+                                                     scn.horizon, rng)
+
+        def digest() -> str:
+            h = hashlib.sha256()
+            for a in (a for episode in block for cs in episode
+                      for a in [cs.h, *cs.h1_list, *cs.h2_list]):
+                h.update(np.ascontiguousarray(a).data)
+            h.update(repr(rng.bit_generator.state).encode())
+            return h.hexdigest()
+        return digest
+
     def check_lga(self) -> str | None:
         """The first block of the last ``lga`` call whose gamma is not
         ``system.snr`` of its phases and beam, within ``SNR_RTOL`` of
@@ -203,10 +227,13 @@ class Side:
 
 
 def timed(fn, seed):
-    """(seconds, SHA-256 of the bit-compared output, gammas or None)."""
+    """(seconds, SHA-256 of the bit-compared output, gammas or None); a path
+    that returns a function is timed without it, and it gives the digest."""
     t0 = time.perf_counter()
     out = fn(seed)
     elapsed = time.perf_counter() - t0
+    if callable(out):
+        return elapsed, out(), None
     out, gammas = out if isinstance(out, tuple) else (out, None)
     return elapsed, hashlib.sha256(out).hexdigest(), gammas
 
