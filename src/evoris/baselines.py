@@ -48,11 +48,11 @@ class LgaParams:
 
 @dataclass
 class LgaResult:
-    """What ``lga_solve`` found: for one block its phases, beam and SNR; for a
-    stack of B blocks a list of B phases and (B,) arrays of beams and SNRs.
-    ``evaluations`` counts the strings scored, over the whole stack."""
+    """What ``lga_solve`` found: for one block its (K, n_ris) phases, beam and
+    SNR; for a stack of B blocks (B, K, n_ris) phases and (B,) arrays of beams
+    and SNRs.  ``evaluations`` counts the strings scored, over the whole stack."""
 
-    phases: object
+    phases: np.ndarray
     precoder_index: int | np.ndarray
     gamma: float | np.ndarray
     evaluations: int
@@ -72,13 +72,6 @@ def _require_codebook(cs: ChannelSet, codebook: np.ndarray) -> None:
     if len(shape) != 2 or shape[0] != n_tx or shape[1] == 0:
         raise ValueError(f"codebook must be (n_tx, beams) = ({n_tx}, >= 1), "
                          f"got shape {shape}")
-
-
-def _split_phases(cs: ChannelSet, flat: np.ndarray):
-    if cs.ris_count == 1:
-        return flat.copy()
-    n = cs.h2_list[0].shape[0]
-    return [flat[k * n:(k + 1) * n].copy() for k in range(cs.ris_count)]
 
 
 # Bytes one group may hold, counted per beam by ``_beam_bytes``.  A stack of
@@ -157,12 +150,13 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
     ties broken toward the lowest precoder index and then the earliest
     generation.
 
-    ``cs`` is one ChannelSet, or a list of B blocks with equal antenna,
-    surface and element counts.  A stack gives an ``LgaResult`` whose
-    ``phases`` is a list of the B blocks' phases, ``precoder_index`` an int64
-    and ``gamma`` a float64 array of B entries, and ``evaluations`` the total
-    over the blocks, an int.  Every block's result, and the stream's end
-    state, are those of one-block calls on the blocks in order.
+    ``cs`` is one ChannelSet, whose ``LgaResult`` holds (K, n_ris) phases, or
+    a list of B blocks with equal antenna, surface and element counts.  A
+    stack gives an ``LgaResult`` whose ``phases`` is one (B, K, n_ris) float
+    array, ``precoder_index`` an int64 and ``gamma`` a float64 array of B
+    entries, and ``evaluations`` the total over the blocks, an int.  Every
+    block's result, and the stream's end state, are those of one-block calls
+    on the blocks in order.
 
     With the beam v fixed, a string of phases p reflects with coefficients
     -p, and its SNR is ``scale * |b0 - p @ z|^2`` with ``b0 = conj(h) @ v``
@@ -270,18 +264,18 @@ def lga_solve(cs: ChannelSet | list[ChannelSet], budget: LinkBudget,
         raise ValueError(f"lga_solve found no finite best SNR{where}; the channels "
                          "or the link budget are not finite")
     evaluations = n_v * n_gen * n_ind
+    phases = best_flat.reshape(n_b, len(sizes), -1)
     if not stacked:
-        return LgaResult(phases=_split_phases(cs, best_flat[0]),
-                         precoder_index=int(best_idx[0]), gamma=float(best_gamma[0]),
-                         evaluations=evaluations)
-    return LgaResult(phases=[_split_phases(b, flat) for b, flat in zip(blocks, best_flat)],
-                     precoder_index=best_idx, gamma=best_gamma,
+        return LgaResult(phases=phases[0], precoder_index=int(best_idx[0]),
+                         gamma=float(best_gamma[0]), evaluations=evaluations)
+    return LgaResult(phases=phases, precoder_index=best_idx, gamma=best_gamma,
                      evaluations=n_b * evaluations)
 
 
 def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
                       cap: int = 2 ** 20) -> tuple:
-    """Exact SNR maximizer over all binary phase strings and codebook beams.
+    """Exact SNR maximizer over all binary phase strings and codebook beams:
+    (phases (K, n_ris), precoder index, SNR).
 
     Enumerates the 2^n_bits strings in ascending lexicographic order
     (-1 before +1) in chunks; ties resolve to the lexicographically lowest
@@ -320,17 +314,16 @@ def exhaustive_oracle(cs: ChannelSet, budget: LinkBudget, codebook: np.ndarray,
             best_flat = phases[flat_pos // n_v].copy()
             best_idx = flat_pos % n_v
 
-    return _split_phases(cs, best_flat), best_idx, best_gamma
+    return best_flat.reshape(cs.ris_count, -1), best_idx, best_gamma
 
 
 def random_baseline(cs: ChannelSet, codebook: np.ndarray,
                     rng: np.random.Generator) -> tuple:
-    """Uniform random phases (per RIS, in order) and codebook index.
+    """Uniform random phases, a (K, n_ris) float array drawn one surface at a
+    time in order, and then the codebook index.
 
     Refuses a codebook that is not (n_tx, beams) with a beam at least."""
     _require_codebook(cs, codebook)
-    phase_list = [rng.integers(0, 2, size=h2.shape[0]) * 2.0 - 1.0
-                  for h2 in cs.h2_list]
-    idx = int(rng.integers(codebook.shape[1]))
-    phases = phase_list[0] if cs.ris_count == 1 else phase_list
-    return phases, idx
+    phases = np.array([rng.integers(0, 2, size=h2.shape[0]) * 2.0 - 1.0
+                       for h2 in cs.h2_list])
+    return phases, int(rng.integers(codebook.shape[1]))

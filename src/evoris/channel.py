@@ -26,7 +26,9 @@ class ScenarioConfig:
     Ricean factors are in dB, ``-inf`` for no line of sight (Rayleigh);
     ``kappa_h1_db=None`` makes every TX-RIS channel purely line-of-sight.
     Power levels are dBm, converted to linear watts once, at link-budget
-    construction.
+    construction.  ``episodes`` is checked, but neither training nor
+    evaluation reads it: training draws ``EvoParams.t_e_train`` episodes and
+    evaluation ``eval_episodes``.
     """
 
     n_tx: int = 16

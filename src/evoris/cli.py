@@ -11,9 +11,9 @@ import argparse
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-from .harness import (EXPORT_FORMATS, ConfigError, ConfigLoader, config_from_mapping,
-                      config_to_mapping, evaluate_genome, import_channel_trace,
-                      load_config, run_experiment, sweep)
+from .harness import (EXPORT_FORMATS, ConfigError, ConfigLoader, evaluate_genome,
+                      import_channel_trace, load_config, run_experiment,
+                      set_config_parameter, sweep)
 
 
 def _add_common(parser, needs_config=True):
@@ -32,15 +32,11 @@ def _add_common(parser, needs_config=True):
 
 def _load_with_overrides(args, force_policy=None):
     cfg = load_config(args.config)
-    mapping = config_to_mapping(cfg)
-    if args.seed is not None:
-        mapping["seed"] = args.seed
-    if args.out is not None:
-        mapping["out_dir"] = args.out
-    policy = force_policy or args.policy
-    if policy is not None:
-        mapping["policy"] = policy
-    return config_from_mapping(mapping)
+    for field, value in (("seed", args.seed), ("out_dir", args.out),
+                         ("policy", force_policy or args.policy)):
+        if value is not None:
+            cfg = set_config_parameter(cfg, field, value)
+    return cfg
 
 
 def _print_records(records):

@@ -234,9 +234,8 @@ def evaluate_policy(cfg: ExperimentConfig, genome=None, policy_cfg=None,
             evaluations += res.evaluations
         elif cfg.policy == "random":
             picks = [random_baseline(cs, codebook, policy_rng) for cs in episode]
-            phases = np.reshape([p for p, _ in picks],
-                                (len(episode), scenario.ris_count, scenario.n_ris))
-            gammas = snr(episode, phases, [codebook[:, i] for _, i in picks], budget)
+            gammas = snr(episode, np.array([p for p, _ in picks]),
+                         [codebook[:, i] for _, i in picks], budget)
             evaluations += len(episode)
         else:
             gammas = np.empty(len(episode))

@@ -202,12 +202,12 @@ def rollout(values: np.ndarray, policy_cfg, agg_cfg: AggregatorConfig | None,
     first pass.  An episode's steps (times agents) go through
     ``ff_forward_steps`` or ``forward_steps`` in passes of at most
     ``STEP_CHUNK_BYTES``, each scored by one stacked ``snr`` call; phases,
-    picks and gammas are bit-identical to one-block calls (``ff_forward``,
-    ``forward``, or ``agent_act`` plus ``aggregate_precoder``, then ``snr``)
-    step by step.  Each pass looks up the TX-RIS attention of every distinct
-    H1 array it holds in the one memo ``forward`` uses too: a line-of-sight
-    H1 (shared, or equal copies in an imported trace) is attended once per
-    surface and genome, a Ricean H1 once per step.  Sampling draws one
+    picks and gammas are bit-identical to one-block calls (``ff_forward_steps``
+    on one step, ``forward``, or ``agent_act`` plus ``aggregate_precoder``,
+    then ``snr``) step by step.  Each pass looks up the TX-RIS attention of
+    every distinct H1 array it holds in the one memo ``forward`` uses too: a
+    line-of-sight H1 (shared, or equal copies in an imported trace) is
+    attended once per surface and genome, a Ricean H1 once per step.  Sampling draws one
     uniform per step from ``policy_rng``, one call per pass in step order,
     which leaves the stream where per-step draws would; argmax draws nothing.
     """

@@ -18,7 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet
 from .numerics import check_fields, conv2d_same, layer_norm, relu, sign_pm1, softmax_global
 
 
@@ -242,8 +241,9 @@ def cnn_forward(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.nda
 def phase_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndarray:
     """Per-element phase decisions from the (n_ris, d_cat) feature map.
 
-    Binary mode thresholds a tanh scalar per row into {-1, +1} with ties
-    going to +1; multi-state mode picks the argmax of per-row level scores.
+    Binary mode takes the sign of a scalar per row, {-1, +1} with ties going
+    to +1 (the sign a tanh output layer would give); multi-state mode picks
+    the argmax of per-row level scores.
     A leading step axis on ``features`` carries through to the output.
     """
     layout = genome_layout(arch)
@@ -254,7 +254,7 @@ def phase_head(features: np.ndarray, w: np.ndarray, arch: ArchConfig) -> np.ndar
     last = n_layers - 1
     y = x @ layout.view(w, f"phase{last}.w") + layout.view(w, f"phase{last}.b")
     if arch.phase_states == 2:
-        return sign_pm1(np.tanh(y[..., 0]))
+        return sign_pm1(y[..., 0])
     return np.argmax(y, axis=-1)
 
 
@@ -456,24 +456,11 @@ def ff_forward_steps(w: np.ndarray, cfg: FFConfig, steps, rng=None,
                          f"({cfg.ris_count} RIS) takes {cfg.input_size}")
     for i in range(len(cfg.hidden)):
         x = relu(x @ layout.view(w, f"fc{i}.w") + layout.view(w, f"fc{i}.b"))
-    raw = np.tanh(x @ layout.view(w, "phase.w") + layout.view(w, "phase.b"))
+    pre = x @ layout.view(w, "phase.w") + layout.view(w, "phase.b")
     logits = x @ layout.view(w, "prec.w") + layout.view(w, "prec.b")
     probs = softmax_global(logits[:, 0], steps=True)
-    phases = sign_pm1(raw).reshape(len(steps), cfg.ris_count, cfg.n_ris)
+    phases = sign_pm1(pre).reshape(len(steps), cfg.ris_count, cfg.n_ris)
     return phases, select_index(probs, rng, mode), probs
-
-
-def ff_forward(w: np.ndarray, cfg: FFConfig, cs: ChannelSet,
-               rng=None, mode: str = "sample") -> PolicyOutput:
-    """Benchmark pass: every channel flattened into one input vector.
-
-    Phases come out as (n_ris,) for a single RIS and (ris_count, n_ris)
-    otherwise; the precoder pick follows the same sample/argmax contract
-    as the attention policy.  This is the one-step case of ``ff_forward_steps``.
-    """
-    phases, idx, probs = ff_forward_steps(w, cfg, [cs], rng, mode)
-    return PolicyOutput(phases=phases[0, 0] if cfg.ris_count == 1 else phases[0],
-                        precoder_index=int(idx[0]), precoder_probs=probs[0])
 
 
 # -- genome files ------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, ScenarioConfig
+from .channel import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,21 @@ def phase_to_coefficient(phase, states: int = 2) -> np.ndarray:
 _PHASE_SHAPE_ERROR = "each phase vector must be 1-D with one entry per RIS element"
 
 
-def _one_block_phases(cs: ChannelSet, phases) -> np.ndarray:
-    """One block's phases, one vector per RIS or a single vector when
-    ris_count == 1, as a (1, K, n_ris) array."""
-    if isinstance(phases, np.ndarray) and phases.ndim == 1:
-        phases = [phases]
-    elif isinstance(phases, (list, tuple)) and phases and np.isscalar(phases[0]):
-        phases = [np.asarray(phases)]
-    if len(phases) != cs.ris_count:
-        raise ValueError(f"expected {cs.ris_count} phase vectors, got {len(phases)}")
+def _one_block_phases(phases) -> np.ndarray:
+    """One block's (K, n_ris) phases, or a lone (n_ris,) vector, as a stack of
+    one block; ``effective_channel`` checks the shape."""
     try:
-        return np.asarray(phases)[None]
+        phases = np.asarray(phases)
     except ValueError:  # vectors of unequal lengths
         raise ValueError(_PHASE_SHAPE_ERROR) from None
+    return phases[None, None] if phases.ndim == 1 else phases[None]
 
 
 def effective_channel(cs, phases, states: int = 2) -> np.ndarray:
     """Combined direct-plus-reflected channel seen at the receiver.
 
-    For one ChannelSet ``cs``, ``phases`` is one vector per RIS (a single
-    vector is accepted when ris_count == 1), and the result is conj(h) +
+    For one ChannelSet ``cs``, ``phases`` is (K, n_ris), one row per RIS (a
+    lone (n_ris,) vector is taken when K == 1), and the result is conj(h) +
     sum_k conj(H1_k) diag(coef_k) conj(h2_k) as an (N_TX,) vector.  For a list
     of B blocks with equal surface counts, ``phases`` is (B, K, n_ris) and the
     result (B, N_TX); each row has the bits of the one-block call.  The phases
@@ -110,7 +105,7 @@ def effective_channel(cs, phases, states: int = 2) -> np.ndarray:
     """
     stacked = isinstance(cs, (list, tuple))
     blocks = cs if stacked else [cs]
-    phases = np.asarray(phases) if stacked else _one_block_phases(cs, phases)
+    phases = np.asarray(phases) if stacked else _one_block_phases(phases)
     k = blocks[0].ris_count
     if any(b.ris_count != k for b in blocks):
         raise ValueError("every block of a stack needs the same surface count")
@@ -132,13 +127,14 @@ def effective_channel(cs, phases, states: int = 2) -> np.ndarray:
 def snr(cs, phases, v, budget: LinkBudget, states: int = 2):
     """Receive SNR (P / sigma^2) |m . v|^2 for precoder column v.
 
-    One block gives a float.  A list of B blocks, with phases (B, K, n_ris)
-    and a sequence of B precoder columns, gives a (B,) array whose entries
-    have the bits of the one-block calls: the effective channels come from
-    one stacked ``effective_channel``, and each block finishes with its own
-    dot product and scalar arithmetic, as a one-block call does.  The
-    columns may not come as one array: ``codebook[:, idx]`` would be walked
-    by rows, which pass every check when B == n_tx.
+    One block, with (K, n_ris) phases (or (n_ris,) when K == 1), gives a
+    float.  A list of B blocks, with phases (B, K, n_ris) and a sequence of B
+    precoder columns, gives a (B,) array whose entries have the bits of the
+    one-block calls: the effective channels come from one stacked
+    ``effective_channel``, and each block finishes with its own dot product
+    and scalar arithmetic, as a one-block call does.  The columns may not
+    come as one array: ``codebook[:, idx]`` would be walked by rows, which
+    pass every check when B == n_tx.
     """
     m = effective_channel(cs, phases, states)
     stacked = m.ndim == 2

@@ -104,7 +104,7 @@ def test_lga_multi_ris_phase_split():
     rng = make_rng(7)
     cs = random_channel_set(rng, 2, 3, k=2)
     res = lga_solve(cs, UNIT, dft_codebook(2), LgaParams(), rng)
-    assert isinstance(res.phases, list) and len(res.phases) == 2
+    assert isinstance(res.phases, np.ndarray) and len(res.phases) == 2
     assert all(p.shape == (3,) for p in res.phases)
     recomputed = snr(cs, res.phases, dft_codebook(2)[:, res.precoder_index], UNIT)
     assert abs(res.gamma - recomputed) < 1e-10 * max(recomputed, 1e-30)
@@ -163,7 +163,7 @@ def per_beam_lga(cs, budget, codebook, params, rng):
                 children[j, c:] = parents[(j + 1) % n_parents][c:]
             pop[n_parents:] = np.where(flips[v_idx, gen], -children, children)
     n = cs.h2_list[0].shape[0]
-    phases = [best_flat[k * n:(k + 1) * n] for k in range(cs.ris_count)]
+    phases = np.array([best_flat[k * n:(k + 1) * n] for k in range(cs.ris_count)])
     return phases, best_idx, best_gamma, evaluations
 
 
@@ -196,11 +196,10 @@ def test_lga_equals_the_per_beam_search(monkeypatch, group_bytes):
         rng_ref, rng = make_rng(100 + seed), make_rng(100 + seed)
         phases, idx, gamma, evaluations = per_beam_lga(cs, budget, cb, params, rng_ref)
         res = lga_solve(cs, budget, cb, params, rng)
-        got = [res.phases] if cs.ris_count == 1 else res.phases
         assert res.gamma == gamma and res.precoder_index == idx
         assert res.evaluations == evaluations
-        assert len(got) == len(phases)
-        assert all(np.array_equal(a, b) for a, b in zip(got, phases))
+        assert res.phases.shape == phases.shape
+        assert np.array_equal(res.phases, phases)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -213,15 +212,15 @@ def assert_stack_equals_block_calls(blocks, budget, cb, params, seed):
     assert type(res.evaluations) is int
     assert res.gamma.dtype == np.float64 and res.gamma.shape == (len(blocks),)
     assert res.precoder_index.dtype == np.int64 and len(res.phases) == len(blocks)
+    assert res.phases.shape == (len(blocks),) + np.shape(blocks[0].h2_list)
     evaluations = 0
     for i, cs in enumerate(blocks):
         phases, idx, gamma, count = per_beam_lga(cs, budget, cb, params, rng_ref)
         one = lga_solve(cs, budget, cb, params, rng_one)
         assert res.gamma[i] == one.gamma == gamma, i
         assert res.precoder_index[i] == one.precoder_index == idx, i
-        got = [res.phases[i]] if cs.ris_count == 1 else res.phases[i]
-        assert len(got) == len(phases)
-        assert all(np.array_equal(a, b) for a, b in zip(got, phases))
+        assert res.phases[i].shape == phases.shape
+        assert np.array_equal(res.phases[i], phases)
         assert np.array_equal(res.phases[i], one.phases)
         evaluations += one.evaluations
         assert one.evaluations == count
@@ -465,7 +464,7 @@ def test_oracle_zero_channels_tie_break():
     phases, idx, gstar = exhaustive_oracle(cs, UNIT, dft_codebook(2))
     assert gstar == 0.0
     # all pairs tie at zero: lowest-lex string, lowest precoder index win
-    assert np.array_equal(phases, [-1.0, -1.0, -1.0])
+    assert np.array_equal(phases, [[-1.0, -1.0, -1.0]])
     assert idx == 0
 
 
@@ -496,7 +495,7 @@ def test_oracle_blocked_scalar_is_sign_insensitive():
     analytic = max(abs(np.dot(cascade, cb[:, j])) ** 2 for j in range(2))
     # both coefficient signs reach the same magnitude; lowest-lex phase wins
     assert abs(gstar - analytic) < 1e-12 * analytic
-    assert phases[0] == -1.0
+    assert phases[0, 0] == -1.0
 
 
 def test_oracle_upper_bounds_random_sampling():
@@ -525,7 +524,7 @@ def test_oracle_matches_plain_python_enumeration():
             if g > best[0]:
                 best = (g, phi, j)
     assert abs(gstar - best[0]) < 1e-12 * best[0]
-    assert np.array_equal(phases, best[1])
+    assert np.array_equal(phases, [best[1]])
     assert idx == best[2]
 
 
@@ -576,7 +575,7 @@ def test_random_baseline_frequencies():
 def test_random_baseline_multi_ris():
     cs = random_channel_set(make_rng(16), 2, 3, k=2)
     phases, idx = random_baseline(cs, dft_codebook(2), make_rng(17))
-    assert isinstance(phases, list) and len(phases) == 2
+    assert isinstance(phases, np.ndarray) and len(phases) == 2
     assert all(p.shape == (3,) for p in phases)
 
 
@@ -585,3 +584,42 @@ def test_random_baseline_refuses_a_codebook_of_the_wrong_shape(codebook):
     cs = random_channel_set(make_rng(32), 2, 4)
     with pytest.raises(ValueError, match=r"codebook .*got shape"):
         random_baseline(cs, codebook, make_rng(33))
+
+
+# -- one phase layout ---------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_arm_gives_a_surface_by_element_array_that_snr_takes(k):
+    rng = make_rng(50 + k)
+    blocks = [random_channel_set(rng, 2, 3, k=k) for _ in range(3)]
+    cs, cb = blocks[0], dft_codebook(2)
+
+    def assert_grid(phases, shape):
+        assert isinstance(phases, np.ndarray) and phases.dtype == np.float64
+        assert phases.shape == shape and np.all(np.isin(phases, (-1.0, 1.0)))
+
+    one = lga_solve(cs, UNIT, cb, LgaParams(), make_rng(60))
+    assert_grid(one.phases, (k, 3))
+    got = snr(cs, one.phases, cb[:, one.precoder_index], UNIT)
+    assert abs(one.gamma - got) < 1e-10 * max(got, 1e-30)
+
+    stack = lga_solve(blocks, UNIT, cb, LgaParams(), make_rng(61))
+    assert_grid(stack.phases, (3, k, 3))
+    got = snr(blocks, stack.phases, [cb[:, i] for i in stack.precoder_index], UNIT)
+    assert np.all(np.abs(stack.gamma - got) < 1e-10 * np.maximum(got, 1e-30))
+
+    phases, idx, gstar = exhaustive_oracle(cs, UNIT, cb)
+    assert_grid(phases, (k, 3))
+    assert abs(snr(cs, phases, cb[:, idx], UNIT) - gstar) < 1e-12 * gstar
+
+    # one integers call per surface, then the beam: the stream of a list of
+    # per-surface vectors
+    ref, drawn = make_rng(62), make_rng(62)
+    phases, idx = random_baseline(cs, cb, drawn)
+    want = [ref.integers(0, 2, size=3) * 2.0 - 1.0 for _ in range(k)]
+    assert_grid(phases, (k, 3))
+    assert np.array_equal(phases, want) and idx == int(ref.integers(2))
+    assert drawn.bit_generator.state == ref.bit_generator.state
+    assert snr(cs, phases, cb[:, idx], UNIT) == snr(cs, want, cb[:, idx], UNIT)
+    if k == 1:  # the lone (n_ris,) vector a single-surface decision gives
+        assert snr(cs, phases[0], cb[:, idx], UNIT) == snr(cs, phases, cb[:, idx], UNIT)

@@ -16,13 +16,12 @@ from evoris import policy as policy_module
 from evoris.channel import ChannelSet, sample_channel_set, sample_episodes
 from evoris.harness import load_config, trained_policy_configs
 from evoris.multiris import agent_act
-from evoris.numerics import make_rng
+from evoris.numerics import make_rng, relu, sign_pm1
 from evoris.policy import (ArchConfig, FFConfig, PolicyOutput, attention_branch,
-                           cnn_forward, config_signature, ff_forward, ff_inputs,
-                           ff_layout,
-                           forward, forward_steps, genome_layout, load_genome,
-                           merge_branches, phase_head, precoder_head, save_genome,
-                           select_index)
+                           cnn_forward, config_signature, ff_forward_steps,
+                           ff_inputs, ff_layout, forward, forward_steps,
+                           genome_layout, load_genome, merge_branches, phase_head,
+                           precoder_head, save_genome, select_index)
 
 TOY = ArchConfig(n_tx=2, n_ris=4, codebook_size=2)
 
@@ -248,6 +247,69 @@ def test_phase_head_multistate_levels():
     assert np.all((out >= 0) & (out < 4))
 
 
+# zeros, subnormals and the largest magnitudes: the values at which a sign
+# taken without the tanh could part from one taken after it
+EDGE_PRE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308,
+                     -2.2e-308, 1e300, -1e300, 1.0, -1.0])
+
+
+def test_a_sign_needs_no_tanh():
+    # a head's x @ W + b sums from +0.0, so it never yields -0.0, infinities
+    # or NaN; the identity holds on those too
+    v = np.concatenate([EDGE_PRE, [np.inf, -np.inf, np.nan]])
+    assert sign_pm1(v).tobytes() == sign_pm1(np.tanh(v)).tobytes()
+
+
+def assert_covers_the_edges(pre):
+    pre = np.ravel(pre)
+    assert np.any(pre == 0.0)
+    for sign in (1.0, -1.0):
+        assert np.any((sign * pre > 0.0) & (abs(pre) < np.finfo(float).tiny))
+        assert np.any(sign * pre == 1e300)
+
+
+def test_phase_head_sign_equals_the_sign_of_its_tanh():
+    # one hidden unit h = tanh(row[0]) in {0, +-5e-324, +-1}; the last layer
+    # y = h * w1 + b1 under each (w1, b1) reaches every edge value
+    arch = ArchConfig(n_tx=1, n_ris=5, codebook_size=1, phase_hidden=(1,))
+    layout = genome_layout(arch)
+    x = np.zeros((5, arch.d_cat))
+    x[:, 0] = [0.0, 5e-324, -5e-324, 30.0, -30.0]
+    pres = []
+    for w1, b1 in [(1.0, 0.0), (-1.0, -0.0), (1e300, 0.0), (-1e300, -0.0)]:
+        w = np.zeros(layout.size)
+        layout.view(w, "phase0.w")[0, 0] = 1.0
+        layout.view(w, "phase1.w")[...] = w1
+        layout.view(w, "phase1.b")[...] = b1
+        h = np.tanh(x @ layout.view(w, "phase0.w") + layout.view(w, "phase0.b"))
+        pre = (h @ layout.view(w, "phase1.w") + layout.view(w, "phase1.b"))[:, 0]
+        pres.append(pre)
+        assert phase_head(x, w, arch).tobytes() == sign_pm1(np.tanh(pre)).tobytes()
+    assert_covers_the_edges(pres)
+
+
+def test_ff_phases_equal_the_sign_of_their_tanh():
+    # a trunk that outputs 1.0 for any input makes each phase pre-activation
+    # 1.0 * w_j + (-0.0), the edge value w_j itself
+    cfg = FFConfig(n_tx=1, n_ris=len(EDGE_PRE), codebook_size=1, hidden=(1,))
+    layout = ff_layout(cfg)
+    w = np.zeros(layout.size)
+    layout.view(w, "fc0.b")[...] = 1.0
+    layout.view(w, "phase.w")[0] = EDGE_PRE
+    layout.view(w, "phase.b")[...] = -0.0
+    rng = make_rng(27)
+    n = len(EDGE_PRE)
+    cs = ChannelSet(h=rng.standard_normal(1) + 1j,
+                    h1_list=[rng.standard_normal((1, n)) - 1j],
+                    h2_list=[rng.standard_normal(n) + 0.5j])
+    x = relu(ff_inputs([cs]) @ layout.view(w, "fc0.w") + layout.view(w, "fc0.b"))
+    pre = x @ layout.view(w, "phase.w") + layout.view(w, "phase.b")
+    assert np.array_equal(pre, EDGE_PRE[None])
+    assert_covers_the_edges(pre)
+    phases, _, _ = ff_forward_steps(w, cfg, [cs], mode="argmax")
+    assert phases.tobytes() == sign_pm1(np.tanh(pre)).tobytes()
+
+
 # -- precoder_head ------------------------------------------------------------
 
 def crafted_probs_genome(arch, probs):
@@ -442,7 +504,7 @@ def test_ff_inputs_round_trip():
             assert np.array_equal(part[12:15] + 1j * part[15:], h2)
 
 
-# -- ff_forward ---------------------------------------------------------------
+# -- ff_forward_steps on one step ---------------------------------------------
 
 def test_ff_forward_shapes_single_ris():
     cfg = FFConfig(n_tx=2, n_ris=4, codebook_size=2, hidden=(8, 8))
@@ -450,10 +512,10 @@ def test_ff_forward_shapes_single_ris():
     w = rng.standard_normal(cfg.genome_size) * 0.3
     h, h1, h2 = toy_channels(24)
     cs = ChannelSet(h=h, h1_list=[h1], h2_list=[h2])
-    out = ff_forward(w, cfg, cs, mode="argmax")
-    assert out.phases.shape == (4,)
-    assert np.all(np.isin(out.phases, (-1.0, 1.0)))
-    assert abs(out.precoder_probs.sum() - 1.0) < 1e-9
+    phases, _, probs = ff_forward_steps(w, cfg, [cs], mode="argmax")
+    assert phases.shape == (1, 1, 4)
+    assert np.all(np.isin(phases, (-1.0, 1.0)))
+    assert abs(probs[0].sum() - 1.0) < 1e-9
 
 
 def test_ff_forward_multi_ris_phase_grid():
@@ -464,17 +526,18 @@ def test_ff_forward_multi_ris_phase_grid():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     cs = ChannelSet(h=cplx(2), h1_list=[cplx(2, 3), cplx(2, 3)],
                     h2_list=[cplx(3), cplx(3)])
-    out = ff_forward(w, cfg, cs, mode="argmax")
-    assert out.phases.shape == (2, 3)
+    phases, _, _ = ff_forward_steps(w, cfg, [cs], mode="argmax")
+    assert phases.shape == (1, 2, 3)
 
 
 def test_ff_forward_zero_genome():
     cfg = FFConfig(n_tx=2, n_ris=4, codebook_size=2, hidden=(8,))
     h, h1, h2 = toy_channels(26)
     cs = ChannelSet(h=h, h1_list=[h1], h2_list=[h2])
-    out = ff_forward(np.zeros(cfg.genome_size), cfg, cs, mode="argmax")
-    assert np.array_equal(out.phases, np.ones(4))
-    assert np.allclose(out.precoder_probs, 0.5, atol=1e-15)
+    phases, _, probs = ff_forward_steps(np.zeros(cfg.genome_size), cfg, [cs],
+                                        mode="argmax")
+    assert np.array_equal(phases, np.ones((1, 1, 4)))
+    assert np.allclose(probs[0], 0.5, atol=1e-15)
 
 
 # -- genome files -------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Tests for the batched episode rollout.
 
 Every case replays the episode block step by step through the per-block
-API (``ff_forward``, ``forward``, or ``agent_act`` per surface plus
-``aggregate_precoder``, then ``snr``) and requires bitwise equality of
-phases, picks, gammas and fitness, and that the sampling stream ends where
-per-step draws leave it.
+API (``ff_forward_steps`` on one step, ``forward``, or ``agent_act`` per
+surface plus ``aggregate_precoder``, then ``snr``) and requires bitwise
+equality of phases, picks, gammas and fitness, and that the sampling stream
+ends where per-step draws leave it.
 """
 
 from dataclasses import replace
@@ -21,7 +21,7 @@ from evoris.harness import (export_channel_trace, import_channel_trace, load_con
 from evoris.multiris import (AggregatorConfig, agent_act, aggregate_precoder,
                              evaluate_fitness_multi, rollout, split_joint_genome)
 from evoris.numerics import make_rng
-from evoris.policy import ArchConfig, FFConfig, ff_forward, forward
+from evoris.policy import ArchConfig, FFConfig, ff_forward_steps, forward
 from evoris.system import evaluation_codebook, link_budget_from, snr
 
 ARCH = ArchConfig(n_tx=4, n_ris=8, codebook_size=4)
@@ -49,8 +49,9 @@ FF_CASES = [("ff", FF_K1, None, SCN_K1),
 def one_block(g14, g5, arch, agg_cfg, cs, rng, mode):
     """One block through the per-block API: (phases, pick, precoder probs)."""
     if isinstance(arch, FFConfig):
-        out = ff_forward(g14, arch, cs, rng=rng, mode=mode)
-    elif agg_cfg is None:
+        phases, idx, probs = ff_forward_steps(g14, arch, [cs], rng, mode)
+        return phases[0], int(idx[0]), probs[0]
+    if agg_cfg is None:
         out = forward(g14, arch, cs.h, cs.h1_list[0], cs.h2_list[0], rng=rng, mode=mode)
     else:
         acts = [agent_act(g14, arch, cs.h, h1, h2)
@@ -381,7 +382,7 @@ GOLDEN = {
 }
 
 # The fully-connected policy's values, recorded the same way with the
-# step-by-step rollout that preceded its batched passes (``ff_forward`` and
+# step-by-step rollout that preceded its batched passes (a one-step pass and
 # ``snr`` per step), for FF_K1 on SCN_K1 and FF_K2 on SCN_K2.  Per case:
 # (fitness, the sampling stream's PCG64 state after the block, steps).
 FF_GOLDEN = {

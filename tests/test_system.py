@@ -138,6 +138,22 @@ def test_effective_channel_rejects_wrong_lengths():
         effective_channel(cs, [np.ones(3) * -1.0, np.ones(3) * -1.0])
 
 
+def test_one_block_takes_a_surface_by_element_array():
+    cs = random_channel_set(make_rng(2), 2, 3, 2)
+    rows = [np.array([-1.0, 1.0, 1.0]), np.array([1.0, 1.0, -1.0])]
+    m = effective_channel(cs, rows)
+    assert effective_channel(cs, np.array(rows)).tobytes() == m.tobytes()
+    assert effective_channel(cs, tuple(rows)).tobytes() == m.tobytes()
+    with pytest.raises(ValueError, match="one entry per RIS element"):
+        effective_channel(cs, [rows[0], rows[1][:2]])
+    with pytest.raises(ValueError, match="one entry per RIS element"):
+        effective_channel(cs, np.array(rows)[:, :2])
+    with pytest.raises(ValueError, match=r"expected phases of shape \(1, 2, n_ris\)"):
+        effective_channel(cs, rows[0])
+    with pytest.raises(ValueError, match=r"expected phases of shape \(1, 2, n_ris\)"):
+        effective_channel(cs, rows + [rows[0]])
+
+
 # -- snr ---------------------------------------------------------------------
 
 def test_snr_zero_channels():

@@ -172,8 +172,8 @@ class Side:
             res = self.tree["harness"].lga_solve(cs, self.budget, self.codebook,
                                                  self.cfg.lga, rng)
             self.lga_results.append((cs, res))
-            phases = res.phases if isinstance(res.phases, list) else [res.phases]
-            out += [np.asarray(p).tobytes() for p in phases]
+            # the bytes of K rows whether a tree gives an array or a list of them
+            out.append(np.asarray(res.phases).tobytes())
             out.append(np.int64(res.precoder_index).tobytes())
             gammas.append(res.gamma)
         out.append(repr(rng.bit_generator.state).encode())
@@ -216,10 +216,10 @@ class Side:
         p_over_n = self.budget.tx_power_w / self.budget.noise_power_w
         for i, (cs, res) in enumerate(self.lga_results):
             v = self.codebook[:, res.precoder_index]
-            phase_list = res.phases if isinstance(res.phases, list) else [res.phases]
-            m = np.conj(cs.h) + sum(np.conj(h1) @ (-np.asarray(ph) * np.conj(h2))
-                                    for h1, h2, ph in zip(cs.h1_list, cs.h2_list,
-                                                          phase_list))
+            # an older tree gives one surface's phases as a bare (n_ris,) vector
+            phases = np.reshape(res.phases, (cs.ris_count, -1))
+            m = np.conj(cs.h) + sum(np.conj(h1) @ (-ph * np.conj(h2))
+                                    for h1, h2, ph in zip(cs.h1_list, cs.h2_list, phases))
             want = self.tree["system"].snr(cs, res.phases, v, self.budget)
             if not abs(res.gamma - want) <= SNR_RTOL * p_over_n * np.sum(np.abs(m * v)) ** 2:
                 return f"block {i}: gamma {res.gamma!r} != system.snr {want!r}"
